@@ -38,7 +38,7 @@ use actor_bench::{BenchArgs, FileReporter, Harness};
 use actor_core::report::{StreamingReporter, Table};
 use cluster_daemon::{run_distributed, ProcessSweepOptions};
 use cluster_rpc::SweepContext;
-use cluster_sched::{run_sweep_traced, SweepRun};
+use cluster_sched::{run_sweep_fleet, FleetModel, SweepRun};
 use npb_workloads::BenchmarkId;
 
 fn main() {
@@ -102,9 +102,10 @@ fn main() {
         let jobs = args.jobs_or_auto();
         let exp = harness.experiment();
         eprintln!("building the workload model (leave-one-out ANN training over the NPB suite)...");
-        let model = Arc::new(exp.workload_model().expect("workload model construction failed"));
+        let model = exp.workload_model().expect("workload model construction failed");
+        let fleet = Arc::new(FleetModel::single(model));
         eprintln!("running {} sweep cells on {jobs} worker thread(s)...", spec.len());
-        run_sweep_traced(&spec, &model, jobs, harness.telemetry_sink(), |outcome, _, _| {
+        run_sweep_fleet(&spec, &fleet, jobs, harness.telemetry_sink(), |outcome, _, _| {
             streaming.row(outcome.cell.index, sweep_table_row(outcome));
         })
         .unwrap_or_else(|e| panic!("sweep failed: {e}"))

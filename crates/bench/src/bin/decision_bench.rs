@@ -51,7 +51,8 @@ use actor_core::telemetry::{
 };
 use actor_core::Reporter;
 use cluster_sched::{
-    budget_from_fraction, policy_by_name, simulate_traced, ClusterSpec, WorkloadModel, WorkloadSpec,
+    budget_from_fraction, policy_by_name, simulate, ClusterSpec, FleetModel, WorkloadModel,
+    WorkloadSpec,
 };
 use phase_rt::{MachineShape, PhaseId};
 use serde::Serialize;
@@ -189,7 +190,9 @@ fn main() {
     let exp = harness.experiment();
 
     eprintln!("building the workload model (leave-one-out ANN training over the NPB suite)...");
-    let model = Arc::new(exp.workload_model().expect("workload model construction failed"));
+    let fleet =
+        FleetModel::single(exp.workload_model().expect("workload model construction failed"));
+    let model = fleet.reference();
 
     let registry = Arc::new(MetricsRegistry::new());
     let sink: SharedSink = match harness.telemetry_sink() {
@@ -199,7 +202,7 @@ fn main() {
 
     // Section 1: the tight decide loop, two interleaved arms (interleaving
     // shares thermal/frequency drift fairly between them), best-of-5 each.
-    let cases = phase_cases(&model);
+    let cases = phase_cases(model);
     let ladder = model.freq_ladder();
     let mut bare_plane = ControlPlane::new(model.decision_table(), MachineShape::quad_core());
     // Windows must comfortably exceed the scheduler-noise floor: at ~2 M
@@ -314,16 +317,12 @@ fn main() {
         let mut events = 0u64;
         let mut makespan_s = 0.0f64;
         for _ in 0..CLUSTER_REPEATS {
-            let mut policy = policy_by_name("power-aware", &model).expect("built-in policy");
+            let mut policy = policy_by_name("power-aware", &fleet).expect("built-in policy");
             let before = counter_total(&registry);
             let started = Instant::now();
-            let report = simulate_traced(
-                &spec,
-                &model,
-                policy.as_mut(),
-                Some(cluster_ring.clone() as SharedSink),
-            )
-            .unwrap_or_else(|e| panic!("simulation failed: {e}"));
+            let report =
+                simulate(&spec, &fleet, policy.as_mut(), Some(cluster_ring.clone() as SharedSink))
+                    .unwrap_or_else(|e| panic!("simulation failed: {e}"));
             wall = wall.min(started.elapsed().as_secs_f64());
             // Drain between repeats so each starts with an empty ring, and
             // so the registry has everything before the count is read.

@@ -57,12 +57,12 @@ impl DaemonConfig {
     }
 }
 
-/// A completed distributed sweep: the `run_sweep`-shaped result plus
-/// distribution bookkeeping.
+/// A completed distributed sweep: the `run_sweep_fleet`-shaped result
+/// plus distribution bookkeeping.
 #[derive(Debug, Clone)]
 pub struct DistRun {
     /// Outcomes sorted by cell index — renders byte-identical to
-    /// [`cluster_sched::run_sweep`] on the same grid. `run.jobs` is the
+    /// [`cluster_sched::run_sweep_fleet`] on the same grid. `run.jobs` is the
     /// number of distinct workers that ever joined.
     pub run: SweepRun,
     /// Distinct workers that completed the handshake.
@@ -229,15 +229,17 @@ fn drop_worker(
 /// Workers arrive as connected [`Wire`]s on `conns` (a Unix-socket accept
 /// loop in production, [`cluster_rpc::duplex`] halves in tests) and may
 /// join at any point mid-sweep. Results stream through `on_cell` in
-/// completion order exactly like [`cluster_sched::run_sweep`]'s callback,
-/// and the returned outcomes are index-sorted, so artefacts rendered from
-/// either are byte-identical.
+/// completion order exactly like [`cluster_sched::run_sweep_fleet`]'s
+/// callback, and the returned outcomes are index-sorted, so artefacts
+/// rendered from either are byte-identical.
 ///
-/// Failure semantics mirror `run_sweep`: a cell whose simulation fails
-/// (worker reported [`CellOutcome::Failed`]) is deterministic — never
+/// Failure semantics mirror `run_sweep_fleet`: a cell whose simulation
+/// fails (worker reported [`CellOutcome::Failed`]) is deterministic — never
 /// retried, sweep keeps running, lowest-index failure reported at the end.
 /// A worker death or stall is indeterminate — the cell is requeued until
-/// [`DaemonConfig::max_attempts`].
+/// [`DaemonConfig::max_attempts`]. A worker that reports a result for a
+/// cell it was not assigned is dropped the same way, as a protocol
+/// violation.
 pub fn serve(
     spec: &SweepSpec,
     config: &DaemonConfig,
@@ -338,8 +340,10 @@ pub fn serve(
                 // guards against double-counting anyway.
                 let Some(worker) = workers.get_mut(&id) else { continue };
                 worker.last_seen = Instant::now();
-                match *msg {
-                    Message::Heartbeat => {}
+                let held = worker.busy.as_ref().map(|c| c.index);
+                // `Some(reason)` drops the worker and requeues its cell.
+                let dropped = match *msg {
+                    Message::Heartbeat => None,
                     Message::TraceBatch(events) => {
                         // Worker frames arrive already span-stamped;
                         // record_spanned preserves those stamps (the
@@ -351,12 +355,11 @@ pub fn serve(
                         if let Some(reg) = metrics {
                             reg.add("trace_events_ingested", events.len() as u64);
                         }
+                        None
                     }
-                    Message::CellResult { index, outcome } => {
-                        if worker.busy.as_ref().map(|c| c.index) == Some(index) {
-                            worker.busy = None;
-                        }
-                        if index >= total || completed.contains(&index) {
+                    Message::CellResult { index, outcome } if held == Some(index) => {
+                        worker.busy = None;
+                        if completed.contains(&index) {
                             continue;
                         }
                         match outcome {
@@ -377,7 +380,7 @@ pub fn serve(
                                 // A simulation failure is deterministic:
                                 // retrying on another worker would fail
                                 // identically, so it is terminal — exactly
-                                // run_sweep's semantics.
+                                // run_sweep_fleet's semantics.
                                 if failures.iter().any(|(c, ..)| c.index == index) {
                                     continue;
                                 }
@@ -393,47 +396,36 @@ pub fn serve(
                                 failures.push((all_cells[index].clone(), reason, tried));
                             }
                         }
+                        None
                     }
-                    Message::Error(e) => {
-                        if let Some(worker) = workers.remove(&id) {
-                            let reason = format!("worker {} failed: {e}", worker.name);
-                            reassignments += drop_worker(
-                                worker,
-                                reason,
-                                &attempts,
-                                config.max_attempts,
-                                &mut pending,
-                                &mut failures,
-                                telemetry.as_ref(),
-                                metrics,
-                            );
-                            if let Some(reg) = metrics {
-                                reg.set_gauge("workers_live", workers.len() as f64);
-                            }
-                        }
-                    }
-                    other => {
-                        // Hello/HelloAck/AssignCell/Shutdown from a worker
-                        // are protocol violations; drop the worker.
-                        if let Some(worker) = workers.remove(&id) {
-                            let reason = format!(
-                                "worker {} sent an unexpected {} frame",
-                                worker.name,
-                                other.kind()
-                            );
-                            reassignments += drop_worker(
-                                worker,
-                                reason,
-                                &attempts,
-                                config.max_attempts,
-                                &mut pending,
-                                &mut failures,
-                                telemetry.as_ref(),
-                                metrics,
-                            );
-                            if let Some(reg) = metrics {
-                                reg.set_gauge("workers_live", workers.len() as f64);
-                            }
+                    // A result for a cell the worker does not hold, and
+                    // Hello/HelloAck/AssignCell/Shutdown from a worker, are
+                    // protocol violations.
+                    Message::CellResult { index, .. } => Some(format!(
+                        "worker {} sent a result for cell {index} it was not assigned",
+                        worker.name
+                    )),
+                    Message::Error(e) => Some(format!("worker {} failed: {e}", worker.name)),
+                    other => Some(format!(
+                        "worker {} sent an unexpected {} frame",
+                        worker.name,
+                        other.kind()
+                    )),
+                };
+                if let Some(reason) = dropped {
+                    if let Some(worker) = workers.remove(&id) {
+                        reassignments += drop_worker(
+                            worker,
+                            reason,
+                            &attempts,
+                            config.max_attempts,
+                            &mut pending,
+                            &mut failures,
+                            telemetry.as_ref(),
+                            metrics,
+                        );
+                        if let Some(reg) = metrics {
+                            reg.set_gauge("workers_live", workers.len() as f64);
                         }
                     }
                 }

@@ -13,13 +13,14 @@
 //!   stalled workers (bounded by a per-cell attempt cap), ingests batched
 //!   worker telemetry, and returns a [`DistRun`] whose outcomes are sorted
 //!   by cell index — so everything rendered from it is byte-identical to
-//!   `run_sweep` at any worker count or death schedule.
-//! * [`run_worker`] — the worker runtime. It handshakes, starts
+//!   [`cluster_sched::run_sweep_fleet`] at any worker count or death
+//!   schedule.
+//! * [`run_worker_traced`] — the worker runtime. It handshakes, starts
 //!   heartbeating *before* model training (training takes seconds and must
 //!   not read as death), rebuilds the daemon's exact
-//!   [`cluster_sched::WorkloadModel`] from the wire-carried
-//!   [`cluster_rpc::SweepContext`] (the model is deterministic in config +
-//!   benchmark list), then executes assigned cells through
+//!   [`cluster_sched::FleetModel`] from the wire-carried
+//!   [`cluster_rpc::SweepContext`] (the fleet is deterministic in config,
+//!   benchmark list and machine mixes), then executes assigned cells through
 //!   [`cluster_sched::execute_cell`] — the *same* code path as in-process
 //!   sweeps — forwarding telemetry as batched `TraceBatch` frames.
 //! * [`run_distributed`] — the local process seam: binds a temporary Unix
@@ -27,9 +28,9 @@
 //!   when available, SIMPLEBENCH-style), serves the sweep, and reaps the
 //!   children.
 //!
-//! Failure semantics mirror `run_sweep`: a cell whose *simulation* fails is
-//! a deterministic error — it is never retried, the sweep keeps running,
-//! and the lowest-index failure surfaces at the end as
+//! Failure semantics mirror `run_sweep_fleet`: a cell whose *simulation*
+//! fails is a deterministic error — it is never retried, the sweep keeps
+//! running, and the lowest-index failure surfaces at the end as
 //! [`DaemonError::Cell`]. A cell whose *worker* dies is indeterminate — it
 //! is requeued (at the front, so retries happen promptly) until the attempt
 //! cap, after which it too becomes [`DaemonError::Cell`].
@@ -42,4 +43,4 @@ pub mod worker;
 pub use daemon::{serve, DaemonConfig, DistRun};
 pub use error::{DaemonError, WorkerError};
 pub use spawn::{accept_unix, run_distributed, ProcessSweepOptions};
-pub use worker::{run_worker, run_worker_full, run_worker_traced, run_worker_with};
+pub use worker::{run_worker_traced, run_worker_with};

@@ -41,8 +41,7 @@ struct TraceForwardSink {
 }
 
 impl TraceForwardSink {
-    /// Batch size for trace frames: a few KiB per frame, same order as the
-    /// old `BufferedSink` wrapper this sink replaces.
+    /// Batch size for trace frames: a few KiB per frame.
     const DEFAULT_CAPACITY: usize = 256;
 
     fn new(conn: Arc<Connection>) -> Self {
@@ -147,12 +146,7 @@ fn fleet_from_context(ctx: &SweepContext) -> Result<Arc<FleetModel>, String> {
 ///
 /// The fleet is rebuilt from the handshake's [`SweepContext`] machine-mix
 /// names, so every worker trains the exact tables the daemon's in-process
-/// peer would use.
-pub fn run_worker(wire: Box<dyn Wire>, name: &str) -> Result<(), WorkerError> {
-    run_worker_traced(wire, name, None)
-}
-
-/// [`run_worker`] with an optional local sink (e.g. a worker-side
+/// peer would use. `local` is an optional worker-side sink (e.g. a
 /// `--trace` JSONL file) that receives the same span-stamped events the
 /// daemon does.
 pub fn run_worker_traced(
@@ -163,7 +157,7 @@ pub fn run_worker_traced(
     run_worker_full(wire, name, local, fleet_from_context)
 }
 
-/// [`run_worker`] with an injectable fleet source — tests hand every
+/// [`run_worker_traced`] with an injectable fleet source — tests hand every
 /// duplex worker one prebuilt `Arc` instead of re-training per worker.
 pub fn run_worker_with(
     wire: Box<dyn Wire>,
@@ -173,9 +167,9 @@ pub fn run_worker_with(
     run_worker_full(wire, name, None, fleet_builder)
 }
 
-/// The fully-general worker entry point: injectable fleet source *and*
-/// optional local telemetry sink beside the daemon forwarder.
-pub fn run_worker_full(
+/// The worker protocol behind both entry points: injectable fleet source
+/// *and* optional local telemetry sink beside the daemon forwarder.
+fn run_worker_full(
     wire: Box<dyn Wire>,
     name: &str,
     local: Option<SharedSink>,

@@ -1,8 +1,8 @@
 //! Daemon + worker integration over in-memory duplexes: completion parity
-//! with `run_sweep`, reassignment on worker death and stall, terminal
-//! simulation failures, and the no-worker timeout.
+//! with `run_sweep_fleet`, reassignment on worker death, stall and protocol
+//! violation, terminal simulation failures, and the no-worker timeout.
 //!
-//! Every duplex worker gets the one prebuilt model via `run_worker_with` —
+//! Every duplex worker gets the one prebuilt fleet via `run_worker_with` —
 //! the process-level path (which re-trains per worker) is covered by the
 //! bench crate's tests, where the worker binary exists.
 
@@ -10,29 +10,32 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use actor_core::config::ActorConfig;
-use actor_core::telemetry::{MemorySink, MetricsRegistry, SharedSink, SpanSink};
+use actor_core::telemetry::{MemorySink, MetricsRegistry, SharedSink, SpanSink, TraceEvent};
 use cluster_daemon::{run_worker_with, serve, DaemonConfig, DaemonError};
 use cluster_rpc::{
     client_handshake, duplex, request_metrics, CellOutcome, Connection, Message, SweepContext, Wire,
 };
-use cluster_sched::{quad_test_workload, run_sweep, FleetModel, SweepSpec, WorkloadModel};
+use cluster_sched::{
+    quad_test_workload, run_sweep_fleet, FleetModel, SweepRun, SweepSpec, WorkloadModel,
+};
 use crossbeam::channel::{unbounded, Sender};
 use npb_workloads::BenchmarkId;
 use xeon_sim::Machine;
 
 const IDS: [BenchmarkId; 4] = [BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Mg, BenchmarkId::Bt];
 
-fn model() -> Arc<WorkloadModel> {
-    static MODEL: OnceLock<Arc<WorkloadModel>> = OnceLock::new();
-    Arc::clone(MODEL.get_or_init(|| {
+fn fleet() -> Arc<FleetModel> {
+    static FLEET: OnceLock<Arc<FleetModel>> = OnceLock::new();
+    Arc::clone(FLEET.get_or_init(|| {
         let config = ActorConfig { corpus_replicas: 2, ..ActorConfig::fast() };
-        Arc::new(WorkloadModel::build(&Machine::xeon_qx6600(), &config, &IDS).unwrap())
+        let model = WorkloadModel::build(&Machine::xeon_qx6600(), &config, &IDS).unwrap();
+        Arc::new(FleetModel::single(model))
     }))
 }
 
-fn fleet() -> Arc<FleetModel> {
-    static FLEET: OnceLock<Arc<FleetModel>> = OnceLock::new();
-    Arc::clone(FLEET.get_or_init(|| Arc::new(FleetModel::single(WorkloadModel::clone(&model())))))
+/// The in-process serial reference every distributed run must reproduce.
+fn serial_run(spec: &SweepSpec) -> SweepRun {
+    run_sweep_fleet(spec, &fleet(), 1, None, |_, _, _| {}).unwrap()
 }
 
 fn context() -> SweepContext {
@@ -70,9 +73,9 @@ fn spawn_worker(
 }
 
 #[test]
-fn duplex_workers_complete_the_grid_identically_to_run_sweep() {
+fn duplex_workers_complete_the_grid_identically_to_run_sweep_fleet() {
     let spec = spec();
-    let serial = run_sweep(&spec, &model(), 1, |_, _, _| {}).unwrap();
+    let serial = serial_run(&spec);
 
     let (conn_tx, conn_rx) = unbounded();
     let w1 = spawn_worker(&conn_tx, "dup-1");
@@ -100,7 +103,7 @@ fn duplex_workers_complete_the_grid_identically_to_run_sweep() {
 #[test]
 fn a_worker_dying_mid_cell_gets_its_cell_reassigned() {
     let spec = spec();
-    let serial = run_sweep(&spec, &model(), 1, |_, _, _| {}).unwrap();
+    let serial = serial_run(&spec);
 
     let (conn_tx, conn_rx) = unbounded();
     let (got_cell_tx, got_cell_rx) = unbounded();
@@ -148,7 +151,7 @@ fn a_worker_dying_mid_cell_gets_its_cell_reassigned() {
 #[test]
 fn a_stalled_worker_is_declared_dead_by_the_heartbeat_scan() {
     let spec = spec();
-    let serial = run_sweep(&spec, &model(), 1, |_, _, _| {}).unwrap();
+    let serial = serial_run(&spec);
 
     let (conn_tx, conn_rx) = unbounded();
     let (got_cell_tx, got_cell_rx) = unbounded();
@@ -192,6 +195,75 @@ fn a_stalled_worker_is_declared_dead_by_the_heartbeat_scan() {
 }
 
 #[test]
+fn a_result_for_an_unassigned_cell_drops_the_worker_and_requeues_its_cell() {
+    let spec = spec();
+    let serial = serial_run(&spec);
+    let total = spec.len();
+
+    let (conn_tx, conn_rx) = unbounded();
+    let (got_cell_tx, got_cell_rx) = unbounded();
+
+    // A rigged worker: answers its assignment with a plausible report
+    // filed under another cell's index, then waits to be shut down.
+    let (daemon_side, worker_side) = duplex();
+    conn_tx
+        .send(Box::new(daemon_side) as Box<dyn Wire>)
+        .map_err(|_| "conns channel closed")
+        .unwrap();
+    let reports = serial.outcomes.clone();
+    let liar = std::thread::spawn(move || {
+        let conn = Connection::new(Box::new(worker_side)).unwrap();
+        client_handshake(&conn, "liar").unwrap();
+        loop {
+            match conn.recv() {
+                Ok(Message::AssignCell(cell)) => {
+                    conn.send(&Message::CellResult {
+                        index: (cell.index + 1) % total,
+                        outcome: CellOutcome::Completed(reports[cell.index].report.clone()),
+                    })
+                    .unwrap();
+                    let _ = got_cell_tx.send(());
+                }
+                Ok(_) => {}
+                Err(_) => return,
+            }
+        }
+    });
+
+    // The honest worker joins only once the liar has answered, so the
+    // protocol-violation path runs deterministically.
+    let honest = std::thread::spawn(move || {
+        got_cell_rx.recv().unwrap();
+        let worker = spawn_worker(&conn_tx, "honest");
+        drop(conn_tx);
+        worker.join().unwrap()
+    });
+
+    let memory = Arc::new(MemorySink::new());
+    let dist = serve(
+        &spec,
+        &DaemonConfig::new(context()),
+        conn_rx,
+        Some(Arc::clone(&memory) as SharedSink),
+        |_, _, _| {},
+    )
+    .unwrap();
+    assert_eq!(dist.run.outcomes, serial.outcomes, "the misfiled report must not be recorded");
+    assert!(dist.reassignments >= 1, "the liar's own cell must be requeued");
+    assert!(
+        memory.events().iter().any(|e| matches!(
+            e,
+            TraceEvent::WorkerDead { worker, reason }
+                if worker == "liar" && reason.contains("not assigned")
+        )),
+        "the liar must be dropped for the protocol violation, not for a stall"
+    );
+
+    liar.join().unwrap();
+    honest.join().unwrap().unwrap();
+}
+
+#[test]
 fn simulation_failures_are_terminal_and_report_the_lowest_index() {
     let spec = spec();
     let (conn_tx, conn_rx) = unbounded();
@@ -226,7 +298,7 @@ fn simulation_failures_are_terminal_and_report_the_lowest_index() {
     let err = serve(&spec, &DaemonConfig::new(context()), conn_rx, None, |_, _, _| {}).unwrap_err();
     match err {
         DaemonError::Cell { cell, reason, attempts } => {
-            assert_eq!(cell.index, 0, "lowest-index failure wins, as in run_sweep");
+            assert_eq!(cell.index, 0, "lowest-index failure wins, as in run_sweep_fleet");
             assert!(reason.contains("rigged failure 0"), "{reason}");
             assert_eq!(attempts, 1, "simulation failures are never retried");
         }

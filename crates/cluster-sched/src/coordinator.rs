@@ -41,7 +41,7 @@ use phase_rt::FreqStep;
 use xeon_sim::Configuration;
 
 use crate::policy::{decide_choices_via_plane, Assignment, SchedContext, SchedulerPolicy};
-use crate::profile::{ExecutionPlan, WorkloadModel};
+use crate::profile::ExecutionPlan;
 
 /// Slack tolerance for the coordinator's internal floating-point budget
 /// arithmetic (same as `assign_in_order`'s headroom check; the cluster's
@@ -172,20 +172,6 @@ impl<C: PowerPerfController + std::fmt::Debug> std::fmt::Debug for CapCoordinato
             .field("menu_cache", &self.menu_cache.len())
             .field("telemetry", &self.telemetry.is_some())
             .finish()
-    }
-}
-
-impl CapCoordinator<DecisionTableController> {
-    /// The standard coordinator: the model's ANN decisions drive every
-    /// per-phase DCT + DVFS choice.
-    pub fn from_model(model: &WorkloadModel) -> Self {
-        Self::new(model.decision_table())
-    }
-
-    /// The standard coordinator over a heterogeneous fleet: the union
-    /// decision table across every generation's model.
-    pub fn from_fleet(fleet: &crate::fleet::FleetModel) -> Self {
-        Self::new(fleet.decision_table())
     }
 }
 
@@ -481,18 +467,6 @@ pub struct CoordinatedPowerPolicy<C: PowerPerfController = DecisionTableControll
     coordinator: CapCoordinator<C>,
 }
 
-impl CoordinatedPowerPolicy<DecisionTableController> {
-    /// The standard coordinated policy over the model's ANN decisions.
-    pub fn from_model(model: &WorkloadModel) -> Self {
-        Self { coordinator: CapCoordinator::from_model(model) }
-    }
-
-    /// The standard coordinated policy over a heterogeneous fleet.
-    pub fn from_fleet(fleet: &crate::fleet::FleetModel) -> Self {
-        Self { coordinator: CapCoordinator::from_fleet(fleet) }
-    }
-}
-
 impl<C: PowerPerfController> CoordinatedPowerPolicy<C> {
     /// Wraps an arbitrary controller.
     pub fn new(controller: C) -> Self {
@@ -548,6 +522,7 @@ impl<C: PowerPerfController> SchedulerPolicy for CoordinatedPowerPolicy<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::WorkloadModel;
     use actor_core::ActorConfig;
     use npb_workloads::BenchmarkId;
     use xeon_sim::{Configuration, Machine};
@@ -611,7 +586,7 @@ mod tests {
         let draws = [IDLE_W; 3];
         // A budget tight enough that not every job can run at full tilt.
         let budget = 3.0 * IDLE_W + 110.0;
-        let mut coordinator = CapCoordinator::from_model(&model);
+        let mut coordinator = CapCoordinator::new(model.decision_table());
         let caps = coordinator.redistribute(&ctx(&model, &queue, &idle, budget, &draws)).unwrap();
         assert!(!caps.is_empty(), "a feasible budget must start at least the head job");
         let headroom = budget - 3.0 * IDLE_W;
@@ -635,7 +610,7 @@ mod tests {
         // Enough headroom for ~1.2 four-core jobs: an equal split would
         // throttle both; the coordinator should tilt watts towards BT.
         let budget = 2.0 * IDLE_W + (is_four - IDLE_W) * 0.3 + (bt_four - IDLE_W) * 0.9;
-        let mut coordinator = CapCoordinator::from_model(&model);
+        let mut coordinator = CapCoordinator::new(model.decision_table());
         let caps = coordinator.redistribute(&ctx(&model, &queue, &idle, budget, &draws)).unwrap();
         assert_eq!(caps.len(), 2, "both jobs must start");
         let is_cap = &caps[0];
@@ -657,7 +632,7 @@ mod tests {
         let queue = vec![job(0, BenchmarkId::Cg, 4), job(1, BenchmarkId::Is, 1)];
         let idle = [0usize, 1];
         let draws = [IDLE_W; 2];
-        let mut coordinator = CapCoordinator::from_model(&model);
+        let mut coordinator = CapCoordinator::new(model.decision_table());
         let caps = coordinator.redistribute(&ctx(&model, &queue, &idle, 10_000.0, &draws)).unwrap();
         assert!(caps.is_empty(), "a node-blocked head blocks the redistribution");
     }

@@ -32,7 +32,7 @@
 //! * [`sweep`] — the parallel sweep engine: a [`sweep::SweepSpec`] grid
 //!   (nodes × budgets × policies × seeds, plus explicit cells) expanded
 //!   into independent cells and executed concurrently on a
-//!   [`phase_rt::ThreadPool`] against one `Arc`-shared workload model,
+//!   [`phase_rt::ThreadPool`] against one `Arc`-shared [`FleetModel`],
 //!   with deterministic cell-ordered results.
 
 pub mod cluster;
@@ -47,10 +47,7 @@ pub mod scenario;
 pub mod sweep;
 pub mod tables;
 
-pub use cluster::{
-    budget_from_fraction, simulate, simulate_fleet, simulate_traced, Cluster, ClusterReport,
-    ClusterSpec,
-};
+pub use cluster::{budget_from_fraction, simulate, Cluster, ClusterReport, ClusterSpec};
 pub use coordinator::{validate_caps, CapCoordinator, CoordinatedPowerPolicy, JobCap};
 pub use error::{ClusterError, SchedError};
 pub use fleet::{
@@ -60,8 +57,8 @@ pub use fleet::{
 pub use job::{ArrivalProcess, Job, JobOutcome, TenantSpec, WorkloadSpec};
 pub use node::{binding_for, Node};
 pub use policy::{
-    policy_by_name, policy_by_name_fleet, Assignment, BackfillPolicy, FcfsPolicy, PowerAwarePolicy,
-    SchedContext, SchedulerPolicy, POLICY_NAMES,
+    policy_by_name, Assignment, BackfillPolicy, FcfsPolicy, PowerAwarePolicy, SchedContext,
+    SchedulerPolicy, POLICY_NAMES,
 };
 pub use profile::{ExecutionPlan, WorkloadModel};
 pub use scenario::{
@@ -69,8 +66,8 @@ pub use scenario::{
     FaultTimeline, ARRIVAL_PROCESS_NAMES, FAULT_SCENARIO_NAMES,
 };
 pub use sweep::{
-    default_workload, execute_cell, light_workload, quad_test_workload, run_sweep, run_sweep_fleet,
-    run_sweep_traced, workload_shape_by_name, SweepCell, SweepCellOutcome, SweepError, SweepPoint,
-    SweepRun, SweepSpec, WORKLOAD_SHAPE_NAMES,
+    default_workload, execute_cell, light_workload, quad_test_workload, run_sweep_fleet,
+    workload_shape_by_name, SweepCell, SweepCellOutcome, SweepError, SweepPoint, SweepRun,
+    SweepSpec, WORKLOAD_SHAPE_NAMES,
 };
 pub use tables::{cluster_summary_headers, cluster_summary_row, cluster_summary_table, job_table};

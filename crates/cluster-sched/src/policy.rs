@@ -168,43 +168,26 @@ pub trait SchedulerPolicy {
 pub const POLICY_NAMES: [&str; 5] =
     ["fcfs", "backfill", "power-aware", "power-aware-dvfs", "power-aware-coordinated"];
 
-/// Builds the policy named `name` (see [`POLICY_NAMES`]). The workload model
-/// supplies the decision table behind the power-aware policy's default
-/// controller. Unknown names report the valid ones:
+/// Builds the policy named `name` (see [`POLICY_NAMES`]). The controller
+/// behind the power-aware policies is the fleet's *union* decision table
+/// across every generation's model (sound because each generation's phase
+/// ids live in their own namespace — see
+/// [`crate::fleet::GEN_PHASE_ID_STRIDE`]). Unknown names report the valid
+/// ones:
 ///
 /// ```
-/// # use cluster_sched::policy_by_name;
-/// # use cluster_sched::WorkloadModel;
+/// # use cluster_sched::{policy_by_name, FleetModel, WorkloadModel};
 /// # use actor_core::ActorConfig;
 /// # use npb_workloads::BenchmarkId;
 /// # use xeon_sim::Machine;
 /// # let machine = Machine::xeon_qx6600();
 /// # let config = ActorConfig { corpus_replicas: 2, ..ActorConfig::fast() };
 /// # let ids = [BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Mg, BenchmarkId::Bt];
-/// # let model = WorkloadModel::build(&machine, &config, &ids).unwrap();
-/// let err = policy_by_name("lottery", &model).err().expect("unknown policy");
+/// # let fleet = FleetModel::single(WorkloadModel::build(&machine, &config, &ids).unwrap());
+/// let err = policy_by_name("lottery", &fleet).err().expect("unknown policy");
 /// assert!(err.to_string().contains("fcfs, backfill, power-aware"));
 /// ```
 pub fn policy_by_name(
-    name: &str,
-    model: &WorkloadModel,
-) -> Result<Box<dyn SchedulerPolicy>, SchedError> {
-    match name {
-        "fcfs" => Ok(Box::new(FcfsPolicy)),
-        "backfill" => Ok(Box::new(BackfillPolicy)),
-        "power-aware" => Ok(Box::new(PowerAwarePolicy::from_model(model))),
-        "power-aware-dvfs" => Ok(Box::new(PowerAwarePolicy::from_model(model).with_dvfs())),
-        "power-aware-coordinated" => Ok(Box::new(CoordinatedPowerPolicy::from_model(model))),
-        _ => Err(SchedError::UnknownPolicy { requested: name.to_string() }),
-    }
-}
-
-/// [`policy_by_name`] over a heterogeneous fleet: the controller behind the
-/// power-aware policies is the *union* decision table across every
-/// generation's model (sound because each generation's phase ids live in
-/// their own namespace — see [`crate::fleet::GEN_PHASE_ID_STRIDE`]). On a
-/// single-generation fleet this is exactly [`policy_by_name`].
-pub fn policy_by_name_fleet(
     name: &str,
     fleet: &FleetModel,
 ) -> Result<Box<dyn SchedulerPolicy>, SchedError> {
@@ -568,19 +551,6 @@ pub struct PowerAwarePolicy<C: PowerPerfController = DecisionTableController> {
     dvfs: bool,
 }
 
-impl PowerAwarePolicy<DecisionTableController> {
-    /// The standard ACTOR-driven policy: the model's ANN decisions.
-    pub fn from_model(model: &WorkloadModel) -> Self {
-        Self::new(model.decision_table())
-    }
-
-    /// The standard policy over a heterogeneous fleet: the union decision
-    /// table across every generation's model.
-    pub fn from_fleet(fleet: &FleetModel) -> Self {
-        Self::new(fleet.decision_table())
-    }
-}
-
 impl<C: PowerPerfController> PowerAwarePolicy<C> {
     /// Wraps an arbitrary controller (DCT-only: nominal frequency).
     pub fn new(controller: C) -> Self {
@@ -779,7 +749,7 @@ mod tests {
         let mut fcfs = FcfsPolicy;
         assert!(fcfs.assign(&ctx(&model, &queue, &idle, budget, IDLE_W, &[])).is_empty());
 
-        let mut aware = PowerAwarePolicy::from_model(&model);
+        let mut aware = PowerAwarePolicy::new(model.decision_table());
         let a = aware.assign(&ctx(&model, &queue, &idle, budget, IDLE_W, &[]));
         assert_eq!(a.len(), 1, "power-aware should throttle the job to fit");
         assert!(a[0].plan.peak_power_w <= budget - IDLE_W + IDLE_W + 1e-9);
@@ -794,7 +764,7 @@ mod tests {
         let model = model();
         let queue = vec![job(0, BenchmarkId::Mg, 1)];
         let idle = [0usize];
-        let mut aware = PowerAwarePolicy::from_model(&model);
+        let mut aware = PowerAwarePolicy::new(model.decision_table());
         let a = aware.assign(&ctx(&model, &queue, &idle, 10_000.0, IDLE_W, &[]));
         assert_eq!(a.len(), 1);
         let expected: Vec<Configuration> =
@@ -812,11 +782,11 @@ mod tests {
         // Budget below the four-core nominal peak but above single-core power.
         let budget = IDLE_W + (four_w - IDLE_W) * 0.5;
 
-        let mut dct = PowerAwarePolicy::from_model(&model);
+        let mut dct = PowerAwarePolicy::new(model.decision_table());
         let dct_plan = &dct.assign(&ctx(&model, &queue, &idle, budget, IDLE_W, &[]))[0].plan;
         assert!(dct_plan.freq_steps.is_empty(), "DCT-only plans carry no frequency axis");
 
-        let mut joint = PowerAwarePolicy::from_model(&model).with_dvfs();
+        let mut joint = PowerAwarePolicy::new(model.decision_table()).with_dvfs();
         assert_eq!(joint.name(), "power-aware-dvfs");
         let a = joint.assign(&ctx(&model, &queue, &idle, budget, IDLE_W, &[]));
         assert_eq!(a.len(), 1, "joint control must also fit the job under the cap");
@@ -843,7 +813,7 @@ mod tests {
         let model = model();
         let queue = vec![job(0, BenchmarkId::Mg, 1)];
         let idle = [0usize];
-        let mut joint = PowerAwarePolicy::from_model(&model).with_dvfs();
+        let mut joint = PowerAwarePolicy::new(model.decision_table()).with_dvfs();
         let a = joint.assign(&ctx(&model, &queue, &idle, 10_000.0, IDLE_W, &[]));
         assert_eq!(a.len(), 1);
         let expected: Vec<Configuration> =
@@ -859,11 +829,11 @@ mod tests {
 
     #[test]
     fn policies_are_constructible_by_name() {
-        let model = model();
+        let fleet = FleetModel::single(model());
         for name in POLICY_NAMES {
-            assert_eq!(policy_by_name(name, &model).unwrap().name(), name);
+            assert_eq!(policy_by_name(name, &fleet).unwrap().name(), name);
         }
-        let err = policy_by_name("lottery", &model).err().expect("unknown policy must fail");
+        let err = policy_by_name("lottery", &fleet).err().expect("unknown policy must fail");
         let msg = err.to_string();
         for name in POLICY_NAMES {
             assert!(msg.contains(name), "error message must list {name}: {msg}");
@@ -886,7 +856,7 @@ mod tests {
         assert!(static_policy.assign(&ctx(&model, &queue, &idle, budget, IDLE_W, &[])).is_empty());
 
         // ...while the default ANN-table controller throttles the job in.
-        let mut ann_policy = PowerAwarePolicy::from_model(&model);
+        let mut ann_policy = PowerAwarePolicy::new(model.decision_table());
         let a = ann_policy.assign(&ctx(&model, &queue, &idle, budget, IDLE_W, &[]));
         assert_eq!(a.len(), 1);
 

@@ -28,12 +28,11 @@ use actor_core::telemetry::{SharedSink, TraceEvent};
 use phase_rt::{RtError, ThreadPool};
 use serde::{Deserialize, Serialize};
 
-use crate::cluster::{simulate_fleet, ClusterReport, ClusterSpec};
+use crate::cluster::{simulate, ClusterReport, ClusterSpec};
 use crate::error::ClusterError;
 use crate::fleet::{budget_for_mix, mix_by_name, FleetModel, MACHINE_MIX_NAMES};
 use crate::job::WorkloadSpec;
-use crate::policy::{policy_by_name_fleet, POLICY_NAMES};
-use crate::profile::WorkloadModel;
+use crate::policy::{policy_by_name, POLICY_NAMES};
 use crate::scenario::{
     arrival_process_by_name, fault_scenario_by_name, ARRIVAL_PROCESS_NAMES, FAULT_SCENARIO_NAMES,
 };
@@ -149,7 +148,7 @@ pub struct SweepSpec {
     pub nodes: Vec<usize>,
     /// Budget axis: `(label, fraction of the dynamic power range)`.
     pub budgets: Vec<(String, f64)>,
-    /// Policy axis (names accepted by [`policy_by_name_fleet`]).
+    /// Policy axis (names accepted by [`policy_by_name`]).
     pub policies: Vec<String>,
     /// Machine-mix axis (names accepted by [`mix_by_name`]).
     pub machine_mixes: Vec<String>,
@@ -673,7 +672,7 @@ fn sweep_cell_event(outcome: &SweepCellOutcome) -> TraceEvent {
 /// [`budget_for_mix`] against the cell's own
 /// mix — each node's idle floor is its own generation's, never a hardcoded
 /// reference machine. A mix naming a generation the fleet was not built
-/// with fails loudly inside [`simulate_fleet`].
+/// with fails loudly inside [`simulate`].
 ///
 /// `workload` is the spec's shape function (a remote worker rebuilds it via
 /// [`workload_shape_by_name`]) and `max_node_w` the spec's per-node dynamic
@@ -718,8 +717,8 @@ pub fn execute_cell(
         workload,
         seed: point.seed,
     };
-    let mut policy = policy_by_name_fleet(&point.policy, fleet)?;
-    simulate_fleet(&cluster_spec, fleet, policy.as_mut(), telemetry.cloned())
+    let mut policy = policy_by_name(&point.policy, fleet)?;
+    simulate(&cluster_spec, fleet, policy.as_mut(), telemetry.cloned())
 }
 
 /// Runs one cell against the shared fleet.
@@ -730,37 +729,6 @@ fn run_cell(
     telemetry: Option<&SharedSink>,
 ) -> Result<ClusterReport, ClusterError> {
     execute_cell(fleet, spec.workload, spec.max_node_w, cell, telemetry)
-}
-
-/// Executes every cell of `spec` against one shared reference model —
-/// the homogeneous compatibility spelling of [`run_sweep_fleet`]: the
-/// model is wrapped once (per sweep, not per cell) as a single-generation
-/// fleet, so grids whose machine axis is `uniform` behave exactly as
-/// before, and a grid that names another mix fails loudly instead of
-/// silently simulating reference nodes.
-pub fn run_sweep(
-    spec: &SweepSpec,
-    model: &Arc<WorkloadModel>,
-    jobs: usize,
-    on_cell: impl FnMut(&SweepCellOutcome, usize, usize),
-) -> Result<SweepRun, SweepError> {
-    run_sweep_traced(spec, model, jobs, None, on_cell)
-}
-
-/// [`run_sweep`] with an optional telemetry sink: the sink is shared into
-/// every worker (cells trace their cluster events and controller decisions
-/// through it, concurrently) and one [`TraceEvent::SweepCell`] per
-/// completed cell is emitted from the single-threaded join side, in
-/// completion order. `None` is exactly [`run_sweep`].
-pub fn run_sweep_traced(
-    spec: &SweepSpec,
-    model: &Arc<WorkloadModel>,
-    jobs: usize,
-    telemetry: Option<SharedSink>,
-    on_cell: impl FnMut(&SweepCellOutcome, usize, usize),
-) -> Result<SweepRun, SweepError> {
-    let fleet = Arc::new(FleetModel::single(WorkloadModel::clone(model)));
-    run_sweep_fleet(spec, &fleet, jobs, telemetry, on_cell)
 }
 
 /// Executes every cell of `spec` against the shared `fleet` on `jobs`
@@ -777,7 +745,14 @@ pub fn run_sweep_traced(
 /// (policies are stateful) from the shared decision tables. The fleet must
 /// cover every machine mix the grid names ([`SweepSpec::mixes`] lists
 /// them); a missing generation is a loud per-cell error, never a silent
-/// fallback to the reference machine.
+/// fallback to the reference machine. A homogeneous reference grid runs on
+/// [`FleetModel::single`].
+///
+/// An optional telemetry sink is shared into every worker (cells trace
+/// their cluster events and controller decisions through it,
+/// concurrently), and one [`TraceEvent::SweepCell`] per completed cell is
+/// emitted from the single-threaded join side, in completion order. `None`
+/// leaves the sweep untraced.
 pub fn run_sweep_fleet(
     spec: &SweepSpec,
     fleet: &Arc<FleetModel>,

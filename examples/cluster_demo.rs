@@ -11,7 +11,7 @@
 use actor_suite::actor::ActorConfig;
 use actor_suite::cluster::{
     budget_from_fraction, cluster_summary_table, job_table, policy_by_name, simulate, ClusterSpec,
-    FaultSpec, MachineMix, WorkloadModel, WorkloadSpec,
+    FaultSpec, FleetModel, MachineMix, WorkloadModel, WorkloadSpec,
 };
 use actor_suite::sim::Machine;
 use actor_suite::workloads::BenchmarkId;
@@ -24,6 +24,8 @@ fn main() {
 
     eprintln!("training ANN ensembles for the workload model...");
     let model = WorkloadModel::build(&machine, &config, &ids).expect("model builds");
+    // A homogeneous cluster is a one-generation fleet of the reference Xeon.
+    let fleet = FleetModel::single(model);
 
     let spec = ClusterSpec {
         nodes: 4,
@@ -49,8 +51,8 @@ fn main() {
 
     let mut reports = Vec::new();
     for name in ["fcfs", "backfill", "power-aware"] {
-        let mut policy = policy_by_name(name, &model).expect("known policy");
-        reports.push(simulate(&spec, &model, policy.as_mut()).expect("simulation runs"));
+        let mut policy = policy_by_name(name, &fleet).expect("known policy");
+        reports.push(simulate(&spec, &fleet, policy.as_mut(), None).expect("simulation runs"));
     }
 
     let aware = reports.last().expect("three runs");

@@ -332,20 +332,21 @@ impl Experiment {
     }
 
     /// The cluster scheduler's workload model over this experiment's suite
-    /// and configuration (for driving `cluster_sched::simulate`).
+    /// and configuration; wrap it with [`cluster_sched::FleetModel::single`]
+    /// to drive `cluster_sched::simulate` or `run_sweep_fleet`.
     ///
-    /// The cluster simulation instantiates quad-core Xeon nodes, so this
-    /// refuses a builder machine with any other topology rather than
-    /// silently mixing machine models (generalising the node machine is a
-    /// ROADMAP item).
+    /// A single-generation fleet runs every node as the paper's reference
+    /// `qx6600`, so this refuses any other builder machine — another
+    /// topology or another generation's parameters — rather than training
+    /// on one machine and simulating on another (heterogeneous clusters
+    /// build a [`cluster_sched::FleetModel`] from machine mixes instead).
     pub fn workload_model(&self) -> Result<WorkloadModel, ClusterError> {
-        let quad = xeon_sim::Topology::quad_core_xeon();
-        if *self.machine.topology() != quad {
+        if self.machine != Machine::xeon_qx6600() {
             return Err(ClusterError::InvalidSpec {
                 reason: format!(
-                    "cluster nodes are quad-core Xeons; a workload model built on a \
-                     {}-core machine would not match the nodes executing it",
-                    self.machine.topology().num_cores
+                    "cluster nodes are the reference qx6600; a workload model built on another                      machine ({}-core, {} GHz) would not match the nodes executing it",
+                    self.machine.topology().num_cores,
+                    self.machine.params().clock_ghz
                 ),
             });
         }
@@ -390,7 +391,7 @@ impl Experiment {
     }
 
     /// The attached telemetry sink, if any — cluster bins clone it into
-    /// their sweeps (`run_sweep_traced`) so one `--trace` flag covers both
+    /// their sweeps (`run_sweep_fleet`) so one `--trace` flag covers both
     /// the live runtimes and the cluster event loops.
     pub fn telemetry_sink(&self) -> Option<actor_core::telemetry::SharedSink> {
         self.telemetry.clone()

@@ -84,16 +84,15 @@ pub mod prelude {
         ConformanceOptions, Metric, NullReporter, Reporter, StdoutReporter, Strategy, Table,
     };
     pub use cluster_daemon::{
-        run_distributed, run_worker, serve, DaemonConfig, DaemonError, DistRun,
+        run_distributed, run_worker_traced, serve, DaemonConfig, DaemonError, DistRun,
         ProcessSweepOptions, WorkerError,
     };
     pub use cluster_rpc::{duplex, Connection, Message, RpcError, SweepContext};
     pub use cluster_sched::{
-        budget_from_fraction, cluster_summary_table, job_table, policy_by_name, run_sweep,
-        run_sweep_traced, simulate, simulate_traced, workload_shape_by_name, ClusterReport,
-        ClusterSpec, PowerAwarePolicy, SchedulerPolicy, SweepCell, SweepCellOutcome, SweepError,
-        SweepPoint, SweepRun, SweepSpec, WorkloadModel, WorkloadSpec, POLICY_NAMES,
-        WORKLOAD_SHAPE_NAMES,
+        budget_from_fraction, cluster_summary_table, job_table, policy_by_name, run_sweep_fleet,
+        simulate, workload_shape_by_name, ClusterReport, ClusterSpec, FleetModel, PowerAwarePolicy,
+        SchedulerPolicy, SweepCell, SweepCellOutcome, SweepError, SweepPoint, SweepRun, SweepSpec,
+        WorkloadModel, WorkloadSpec, POLICY_NAMES, WORKLOAD_SHAPE_NAMES,
     };
     pub use npb_workloads::{benchmark, nas_suite, BenchmarkId, BenchmarkProfile};
     pub use phase_rt::{Binding, FreqStep, MachineShape, PhaseId};

@@ -21,8 +21,8 @@ use actor_suite::actor::controller::{
 use actor_suite::actor::runtime::{ActorRuntime, ThrottleMode};
 use actor_suite::actor::{ActorConfig, NullReporter};
 use actor_suite::cluster::{
-    budget_from_fraction, policy_by_name, simulate, Assignment, ClusterSpec, FaultSpec, MachineMix,
-    SchedContext, SchedulerPolicy, WorkloadModel, WorkloadSpec,
+    budget_from_fraction, policy_by_name, simulate, Assignment, ClusterSpec, FaultSpec, FleetModel,
+    MachineMix, SchedContext, SchedulerPolicy, WorkloadModel, WorkloadSpec,
 };
 use actor_suite::prelude::{ControllerSpec, ExperimentBuilder};
 use actor_suite::rt::{Binding, MachineShape, PhaseId, RegionEvent, RegionListener, Team};
@@ -113,7 +113,7 @@ impl SchedulerPolicy for InlineLoopPowerAware {
 
 #[test]
 fn refactored_policies_schedule_byte_identically_to_the_inline_loop() {
-    let model = model();
+    let fleet = FleetModel::single(model());
     let idle_w = Machine::xeon_qx6600().params().power.system_idle_w;
     for fraction in [0.45, 0.7, 1.0] {
         let spec = ClusterSpec {
@@ -132,10 +132,10 @@ fn refactored_policies_schedule_byte_identically_to_the_inline_loop() {
         };
         for dvfs in [false, true] {
             let name = if dvfs { "power-aware-dvfs" } else { "power-aware" };
-            let mut inline = InlineLoopPowerAware::new(&model, dvfs);
-            let before = simulate(&spec, &model, &mut inline).unwrap();
-            let mut refactored = policy_by_name(name, &model).unwrap();
-            let after = simulate(&spec, &model, refactored.as_mut()).unwrap();
+            let mut inline = InlineLoopPowerAware::new(fleet.reference(), dvfs);
+            let before = simulate(&spec, &fleet, &mut inline, None).unwrap();
+            let mut refactored = policy_by_name(name, &fleet).unwrap();
+            let after = simulate(&spec, &fleet, refactored.as_mut(), None).unwrap();
             assert_eq!(
                 before, after,
                 "{name} at fraction {fraction}: the ControlPlane refactor changed the schedule"

@@ -9,13 +9,14 @@ use rand::SeedableRng;
 use actor_suite::actor::adaptation::run_adaptation_study_on;
 use actor_suite::actor::{ActorConfig, NullReporter};
 use actor_suite::cluster::{
-    budget_from_fraction, policy_by_name, simulate, Assignment, ClusterSpec, FaultSpec, MachineMix,
-    PowerAwarePolicy, SchedContext, SchedulerPolicy, WorkloadModel, WorkloadSpec,
+    budget_from_fraction, policy_by_name, simulate, Assignment, ClusterError, ClusterSpec,
+    FaultSpec, FleetModel, MachineMix, PowerAwarePolicy, SchedContext, SchedulerPolicy,
+    WorkloadModel, WorkloadSpec,
 };
 use actor_suite::prelude::{
     AdaptationStudy, ControllerSpec, ExperimentBuilder, Metric, OracleController, Strategy,
 };
-use actor_suite::sim::{Configuration, Machine};
+use actor_suite::sim::{Configuration, Machine, MachineParams, Topology};
 use actor_suite::workloads::{benchmark, BenchmarkId, BenchmarkProfile};
 
 const IDS: [BenchmarkId; 4] = [BenchmarkId::Bt, BenchmarkId::Cg, BenchmarkId::Is, BenchmarkId::Mg];
@@ -137,6 +138,7 @@ fn generic_power_aware_policy_matches_the_legacy_hard_wired_path() {
     let machine = Machine::xeon_qx6600();
     let config = fast_config();
     let model = WorkloadModel::build(&machine, &config, &IDS).unwrap();
+    let fleet = FleetModel::single(model);
     let idle_w = machine.params().power.system_idle_w;
 
     for fraction in [0.45, 0.7, 1.0] {
@@ -155,10 +157,10 @@ fn generic_power_aware_policy_matches_the_legacy_hard_wired_path() {
             seed: 99,
         };
         let mut legacy = LegacyPowerAware;
-        let before = simulate(&spec, &model, &mut legacy).unwrap();
+        let before = simulate(&spec, &fleet, &mut legacy, None).unwrap();
 
-        let mut generic = PowerAwarePolicy::from_model(&model);
-        let after = simulate(&spec, &model, &mut generic).unwrap();
+        let mut generic = PowerAwarePolicy::new(fleet.decision_table());
+        let after = simulate(&spec, &fleet, &mut generic, None).unwrap();
         assert_eq!(
             before, after,
             "budget fraction {fraction}: the controller-generic policy must schedule \
@@ -166,8 +168,31 @@ fn generic_power_aware_policy_matches_the_legacy_hard_wired_path() {
         );
 
         // And the by-name constructor builds the same thing.
-        let mut by_name = policy_by_name("power-aware", &model).unwrap();
-        let by_name_report = simulate(&spec, &model, by_name.as_mut()).unwrap();
+        let mut by_name = policy_by_name("power-aware", &fleet).unwrap();
+        let by_name_report = simulate(&spec, &fleet, by_name.as_mut(), None).unwrap();
         assert_eq!(before, by_name_report);
+    }
+}
+
+#[test]
+fn workload_model_refuses_any_machine_but_the_reference_node() {
+    let experiment_on = |machine: Machine| {
+        ExperimentBuilder::new()
+            .machine(machine)
+            .suite(fast_suite())
+            .config(fast_config())
+            .reporter(Box::new(NullReporter))
+            .run()
+            .expect("valid experiment")
+    };
+    let eight_core =
+        Machine::new(Topology::new(8, 2).unwrap(), MachineParams::xeon_qx6600()).unwrap();
+    for (label, machine) in [("8-core", eight_core), ("e5450", Machine::xeon_e5450())] {
+        match experiment_on(machine).workload_model() {
+            Err(ClusterError::InvalidSpec { reason }) => {
+                assert!(reason.contains("qx6600"), "{label}: {reason}");
+            }
+            other => panic!("{label}: expected InvalidSpec, got {other:?}"),
+        }
     }
 }

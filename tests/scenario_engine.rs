@@ -10,8 +10,9 @@ use proptest::prelude::*;
 
 use actor_suite::actor::ActorConfig;
 use actor_suite::cluster::{
-    budget_for_mix, fault_timeline, mix_by_name, policy_by_name_fleet, run_sweep_fleet, simulate,
-    simulate_fleet, ClusterSpec, FaultPolicy, FaultSpec, FleetModel, Node, SweepSpec, WorkloadSpec,
+    budget_for_mix, fault_timeline, mix_by_name, policy_by_name, run_sweep_fleet, simulate,
+    ClusterError, ClusterSpec, FaultPolicy, FaultSpec, FleetModel, Node, SweepError, SweepSpec,
+    WorkloadSpec,
 };
 use actor_suite::sim::Machine;
 use actor_suite::workloads::BenchmarkId;
@@ -160,8 +161,8 @@ proptest! {
         let kill = seed % 2 == 0;
         let on_failure = if kill { FaultPolicy::Kill } else { FaultPolicy::Reschedule };
         let spec = spec(aggressive_faults(on_failure), seed);
-        let mut policy = policy_by_name_fleet(policy_name, fleet()).unwrap();
-        let report = simulate_fleet(&spec, fleet(), policy.as_mut(), None).unwrap();
+        let mut policy = policy_by_name(policy_name, fleet()).unwrap();
+        let report = simulate(&spec, fleet(), policy.as_mut(), None).unwrap();
 
         prop_assert_eq!(report.outcomes.len(), spec.workload.num_jobs);
         let mut ids: Vec<usize> = report.outcomes.iter().map(|o| o.job.id).collect();
@@ -179,20 +180,41 @@ proptest! {
     }
 }
 
-/// The homogeneous entry point refuses heterogeneous specs loudly instead
-/// of silently pricing every node as the reference machine (the run_sweep
-/// budget-pricing bug this layer replaced).
+/// A single-generation fleet refuses a mixed spec loudly instead of
+/// silently pricing every node as the reference machine: both the
+/// simulation entry point and a sweep cell fail with `InvalidSpec` naming
+/// the first generation the fleet lacks.
 #[test]
-fn homogeneous_entry_point_rejects_mixed_specs() {
+fn single_generation_fleet_rejects_mixed_specs_naming_the_missing_generation() {
+    let single = Arc::new(FleetModel::single(fleet().reference().clone()));
+    let names_missing_gen = |err: &ClusterError| match err {
+        ClusterError::InvalidSpec { reason } => {
+            reason.contains("\"e5450\"") && reason.contains("built with: qx6600")
+        }
+        _ => false,
+    };
+
     let spec = spec(FaultSpec::default(), 7);
-    let mut policy = policy_by_name_fleet("power-aware-dvfs", fleet()).unwrap();
-    let err = simulate(&spec, fleet().reference(), policy.as_mut())
-        .expect_err("a mixed spec through the single-model path must fail");
-    let msg = err.to_string();
-    assert!(
-        msg.contains("FleetModel") && msg.contains("mixed"),
-        "the error must name the mix and point at the fleet API: {msg}"
-    );
+    let mut policy = policy_by_name("power-aware-dvfs", &single).unwrap();
+    let err = simulate(&spec, &single, policy.as_mut(), None)
+        .expect_err("a mixed spec on a single-generation fleet must fail");
+    assert!(names_missing_gen(&err), "simulate: {err}");
+
+    let sweep = SweepSpec {
+        nodes: vec![NODES],
+        policies: vec!["fcfs".into()],
+        machine_mixes: vec!["mixed".into()],
+        seeds: vec![7],
+        workload: actor_suite::cluster::quad_test_workload,
+        ..SweepSpec::default()
+    };
+    match run_sweep_fleet(&sweep, &single, 1, None, |_, _, _| {}) {
+        Err(SweepError::Cell { cell, source }) => {
+            assert_eq!(cell.point.machines, "mixed");
+            assert!(names_missing_gen(&source), "sweep cell: {source}");
+        }
+        other => panic!("expected a failing sweep cell, got {other:?}"),
+    }
 }
 
 /// The acceptance byte-identity: a mixed-generation, fault-injected,
