@@ -1,8 +1,9 @@
 //! `bench_check` — the CI bench-trajectory collector and regression gate.
 //!
 //! Reads the JSON artefacts the smoke bins just produced under `results/`
-//! (`cluster_sweep.json`, `coordinated_capping.json`, `scenario_sweep.json`,
-//! `decision_bench.json`, `fig_dvfs_dct.json`),
+//! (`cluster_sweep.json`, `coordinated_capping.json`, `scenario_sweep.json`
+//! — all three in the one sweep schema, `actor_bench::sweep_out::SweepOutput`
+//! — plus `decision_bench.json` and `fig_dvfs_dct.json`),
 //! collects their quantitative headlines into
 //! `results/BENCH_sweep.current.json` (uploaded by CI as the per-PR bench
 //! trajectory), and compares them against the committed baseline
@@ -66,9 +67,13 @@
 use std::fs;
 use std::process::ExitCode;
 
+use actor_bench::sweep_out::SweepOutput;
 use serde::{Deserialize, Serialize, Value};
 
 const RESULTS_DIR: &str = "results";
+/// The coordinated-capping headlines' reference and contender.
+const INDEPENDENT: &str = "power-aware-dvfs";
+const COORDINATED: &str = "power-aware-coordinated";
 const BASELINE: &str = "results/BENCH_sweep.json";
 const CURRENT: &str = "results/BENCH_sweep.current.json";
 const DEFAULT_TOLERANCE_PTS: f64 = 2.0;
@@ -105,13 +110,13 @@ fn as_f64(v: &Value) -> Option<f64> {
 
 /// Loads a results JSON, warning (not failing) when absent — CI runs the
 /// producing bins in the same job, but a local partial run is legitimate.
-fn load(name: &str) -> Option<Value> {
+fn load<T: Deserialize>(name: &str) -> Option<T> {
     let path = format!("{RESULTS_DIR}/{name}");
     match fs::read_to_string(&path) {
-        Ok(text) => match serde_json::from_str::<Value>(&text) {
+        Ok(text) => match serde_json::from_str::<T>(&text) {
             Ok(v) => Some(v),
             Err(e) => {
-                eprintln!("warning: {path} is not parseable JSON ({e}); skipping its headlines");
+                eprintln!("warning: {path} is not parseable ({e}); skipping its headlines");
                 None
             }
         },
@@ -133,56 +138,50 @@ fn collect() -> Trajectory {
         }
     };
 
-    if let Some(sweep) = load("cluster_sweep.json") {
-        push("sweep_cells", sweep.get("cells").and_then(as_f64));
-        push("sweep_wall_clock_s", sweep.get("wall_clock_s").and_then(as_f64));
-        push("sweep_cells_per_sec", sweep.get("cells_per_sec").and_then(as_f64));
-        // Mean power-aware ED² vs FCFS across every (nodes, budget, seed)
-        // group of the grid.
-        let aware = sweep.get("policy_mean_ed2_vs_fcfs_pct").and_then(|pairs| match pairs {
-            Value::Seq(items) => items.iter().find_map(|pair| match pair {
-                Value::Seq(kv) if kv.len() == 2 && kv[0] == Value::Str("power-aware".into()) => {
-                    as_f64(&kv[1])
-                }
-                _ => None,
-            }),
-            _ => None,
-        });
-        push("sweep_power_aware_vs_fcfs_ed2_pct", aware);
+    if let Some(sweep) = load::<SweepOutput>("cluster_sweep.json") {
+        push("sweep_cells", Some(sweep.grid.cells as f64));
+        push("sweep_wall_clock_s", Some(sweep.wall_clock_s));
+        push("sweep_cells_per_sec", Some(sweep.cells_per_sec));
+        // Mean power-aware ED² vs FCFS across every scoring group of the
+        // grid.
+        push("sweep_power_aware_vs_fcfs_ed2_pct", sweep.score("fcfs", &[], "power-aware"));
     }
 
-    if let Some(coord) = load("coordinated_capping.json") {
+    if let Some(coord) = load::<SweepOutput>("coordinated_capping.json") {
         // The tight-budget coordinated-vs-independent delta: the headline
         // the coordinator exists for.
-        let tight = coord.get("coordinated_vs_independent_ed2_pct").and_then(|pairs| match pairs {
-            Value::Seq(items) => items.iter().find_map(|pair| match pair {
-                Value::Seq(kv) if kv.len() == 2 && kv[0] == Value::Str("tight".into()) => {
-                    as_f64(&kv[1])
-                }
-                _ => None,
-            }),
-            _ => None,
-        });
-        push("coordinated_vs_independent_tight_ed2_pct", tight);
+        push(
+            "coordinated_vs_independent_tight_ed2_pct",
+            coord.score(INDEPENDENT, &["tight:0.45"], COORDINATED),
+        );
     }
 
-    if let Some(scenario) = load("scenario_sweep.json") {
+    if let Some(scenario) = load::<SweepOutput>("scenario_sweep.json") {
         // The scenario-engine acceptance headline: coordinated capping's
-        // mean ED² delta vs independent power-aware-dvfs over the
-        // heterogeneous (mixed-generation) cells of the scenario grid.
-        push(
-            "coordinated_vs_independent_hetero_ed2_pct",
-            scenario.get("coordinated_vs_independent_hetero_ed2_pct").and_then(as_f64),
-        );
-        // The homogeneous reference rides along so a trajectory diff shows
-        // whether a shift came from the coordinator or the fleet.
-        push(
-            "coordinated_vs_independent_uniform_ed2_pct",
-            scenario.get("coordinated_vs_independent_uniform_ed2_pct").and_then(as_f64),
-        );
+        // mean per-mix ED² delta vs independent power-aware-dvfs over the
+        // heterogeneous mixes — every mix but "uniform", including
+        // "modern", a *different* homogeneous cluster, whose delta still
+        // answers "does coordination pay off away from the reference
+        // fleet?". The homogeneous reference rides along so a trajectory
+        // diff shows whether a shift came from the coordinator or the
+        // fleet.
+        let per_mix = scenario.reference == INDEPENDENT && scenario.breakdown == ["machines"];
+        let mean_over = |hetero: bool| {
+            let deltas: Vec<f64> = scenario
+                .scoreboard
+                .iter()
+                .filter(|s| s.policy == COORDINATED)
+                .filter(|s| s.key.first().is_some_and(|mix| (mix != "uniform") == hetero))
+                .map(|s| s.mean_ed2_vs_reference_pct)
+                .collect();
+            (per_mix && !deltas.is_empty())
+                .then(|| deltas.iter().sum::<f64>() / deltas.len() as f64)
+        };
+        push("coordinated_vs_independent_hetero_ed2_pct", mean_over(true));
+        push("coordinated_vs_independent_uniform_ed2_pct", mean_over(false));
     }
 
-    if let Some(bench) = load("decision_bench.json") {
+    if let Some(bench) = load::<Value>("decision_bench.json") {
         push("decision_bench_decisions_per_sec", bench.get("decisions_per_sec").and_then(as_f64));
         push(
             "decision_bench_traced_decisions_per_sec",
@@ -207,7 +206,7 @@ fn collect() -> Trajectory {
         }
     }
 
-    if let Some(dvfs) = load("fig_dvfs_dct.json") {
+    if let Some(dvfs) = load::<Value>("fig_dvfs_dct.json") {
         // Mean joint-vs-DCT ED² delta over the NPB suites under the cap.
         let mean = dvfs.get("joint_vs_dct_ed2_pct").and_then(|pairs| match pairs {
             Value::Seq(items) => {

@@ -34,14 +34,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use actor_bench::sweep_out::{
-    cells_output, default_spec, score_policies, sweep_table_headers, sweep_table_row,
+    cells_output, default_spec, sweep_context, sweep_table_headers, sweep_table_row,
 };
 use actor_bench::{FileReporter, Harness};
 use actor_core::report::StreamingReporter;
 use actor_core::telemetry::MetricsRegistry;
 use cluster_daemon::{accept_unix, serve, DaemonConfig};
-use cluster_rpc::{request_metrics, Connection, SweepContext};
-use npb_workloads::BenchmarkId;
+use cluster_rpc::{request_metrics, Connection};
 
 /// `--metrics SOCKET` from the raw argument list (`BenchArgs` skips flags
 /// it does not own).
@@ -103,17 +102,10 @@ fn main() {
     if let Some(grid) = &args.grid {
         spec = spec.with_grid(grid).unwrap_or_else(|e| panic!("{e}"));
     }
-    let context = SweepContext {
-        config: args.config(),
-        benchmarks: BenchmarkId::ALL.to_vec(),
-        workload: "light".into(),
-        machines: spec.mix_names().unwrap_or_else(|e| panic!("{e}")),
-        max_node_w: spec.max_node_w,
-        heartbeat_ms: 250,
-        // Workers stamp their spans with this, the same run id the
-        // harness's own SpanSink uses — one causal timeline per run.
-        run_id: Harness::run_id(),
-    };
+    let context = sweep_context(&spec, args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
 
     let _ = std::fs::remove_file(&socket);
     let listener = UnixListener::bind(&socket).unwrap_or_else(|e| {
@@ -161,12 +153,12 @@ fn main() {
         dist.workers_seen,
         dist.reassignments,
     ));
-    for (policy, mean) in score_policies(&dist.run.outcomes).0 {
+    let cells = cells_output(&dist.run.outcomes);
+    for (policy, mean) in &cells.policy_mean_ed2_vs_fcfs_pct {
         if policy != "fcfs" {
             reporter.note(&format!("{policy}: mean cluster ED2 {mean:+.1}% vs fcfs"));
         }
     }
-    let cells_json =
-        serde_json::to_string_pretty(&cells_output(&dist.run.outcomes)).expect("cells serialize");
+    let cells_json = serde_json::to_string_pretty(&cells).expect("cells serialize");
     reporter.artifact("cluster_daemon_cells.json", &cells_json);
 }

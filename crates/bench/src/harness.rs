@@ -34,10 +34,8 @@ pub struct BenchArgs {
     /// auto-detect via [`BenchArgs::jobs_or_auto`]).
     pub jobs: Option<usize>,
     /// `--grid SPEC`: sweep grid override (see
-    /// `cluster_sched::SweepSpec::with_grid` for the syntax). Honoured by
-    /// `cluster_sweep`; the fixed-grid bins (`cluster_power_cap`,
-    /// `coordinated_capping`) warn and ignore it — their headline tables
-    /// assume the historical grid.
+    /// `cluster_sched::SweepSpec::with_grid` for the syntax), applied over
+    /// the preset grid by every sweep bin and by `cluster_daemon`.
     pub grid: Option<String>,
     /// `--trace PATH`: write one JSONL trace record per controller
     /// decision / cluster event / sweep cell to `PATH` (see

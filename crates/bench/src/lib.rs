@@ -14,13 +14,23 @@
 //! | `summary_stats` | the headline numbers quoted in Sections III & V |
 //! | `ablation_predictors` | ANN vs linear regression vs empirical search |
 //! | `manycore_projection` | extension: the same study on an 8-core machine |
-//! | `cluster_power_cap` | extension: N-node cluster under a power budget |
-//! | `cluster_sweep` | extension: ~1000-cell parallel policy-search grid |
+//! | `fig_dvfs_dct` | extension: joint DVFS + concurrency throttling under a cap |
+//! | `cluster_sweep` | extension: ~1000-cell policy-search grid, scored vs FCFS |
+//! | `cluster_power_cap` | extension: nodes × power budget × policy, scored vs FCFS |
+//! | `coordinated_capping` | extension: coordinated vs independent capping per budget |
+//! | `scenario_sweep` | extension: the same per machine mix, with faults and bursts |
+//! | `cluster_daemon` | extension: serve a sweep grid to external workers |
+//! | `cluster_worker` | extension: execute sweep cells for a daemon |
+//! | `decision_bench` | hot-path headlines: decisions/s, events/s, trace overhead |
+//! | `trace_tool` | trace stats / filter / check / merge |
 //! | `bench_check` | CI: bench-trajectory collector + regression gate |
+//! | `doc_links` | CI: dead relative links in the prose docs |
 //!
+//! The four cluster sweep bins are presets of one driver
+//! ([`sweep_driver`]) and share one output schema ([`sweep_out`]).
 //! Every binary goes through the shared [`harness`]: arguments are parsed by
-//! [`BenchArgs`] (`--fast`, `--scalability-only`, `--seed N`, and for the
-//! sweep binaries `--jobs N`; `cluster_sweep` additionally honours
+//! [`BenchArgs`] (`--fast`, `--scalability-only`, `--seed N`, `--trace
+//! PATH`, and for the sweep binaries `--jobs N`, `--processes N` and
 //! `--grid SPEC`), the studies
 //! run through `actor_suite::ExperimentBuilder`, and all output is routed
 //! through the [`FileReporter`] — aligned tables on stdout plus CSV/JSON
@@ -32,6 +42,7 @@
 
 pub mod alloc_count;
 pub mod harness;
+pub mod sweep_driver;
 pub mod sweep_out;
 pub mod trace_ops;
 

@@ -70,4 +70,4 @@ pub use sweep::{
     workload_shape_by_name, SweepCell, SweepCellOutcome, SweepError, SweepPoint, SweepRun,
     SweepSpec, WORKLOAD_SHAPE_NAMES,
 };
-pub use tables::{cluster_summary_headers, cluster_summary_row, cluster_summary_table, job_table};
+pub use tables::{cluster_summary_row, cluster_summary_table, job_table};

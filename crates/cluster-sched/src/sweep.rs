@@ -1,9 +1,9 @@
 //! The parallel sweep engine: a cartesian grid of cluster experiments run
 //! concurrently on a [`phase_rt::ThreadPool`].
 //!
-//! The cluster sweeps (`cluster_power_cap`, `coordinated_capping`, the
-//! policy-search `cluster_sweep` grid, the `scenario_sweep` hazard grids)
-//! are embarrassingly parallel: every
+//! Every cluster sweep (the presets of the bench crate's one sweep driver:
+//! `cluster_sweep`, `cluster_power_cap`, `coordinated_capping` and
+//! `scenario_sweep`) is embarrassingly parallel: every
 //! (nodes × budget × policy × machines × faults × arrivals × seed) cell is
 //! an independent discrete-event simulation against the same immutable
 //! [`FleetModel`]. The engine expands a [`SweepSpec`] into ordered
@@ -188,87 +188,6 @@ impl Default for SweepSpec {
 }
 
 impl SweepSpec {
-    /// The default grid of the `cluster_power_cap` binary: 2/4/8 nodes ×
-    /// tight/medium/ample × the DCT-only policies, seed 2007; `dvfs` adds
-    /// the joint and coordinated policies exactly like the bin's `--dvfs`
-    /// flag.
-    pub fn power_cap_default(dvfs: bool) -> Self {
-        let mut policies = vec!["fcfs".to_string(), "backfill".into(), "power-aware".into()];
-        if dvfs {
-            policies.push("power-aware-dvfs".into());
-            policies.push("power-aware-coordinated".into());
-        }
-        Self {
-            nodes: vec![2, 4, 8],
-            budgets: vec![("tight".into(), 0.45), ("medium".into(), 0.7), ("ample".into(), 1.0)],
-            policies,
-            seeds: vec![2007],
-            ..Self::default()
-        }
-    }
-
-    /// The default grid of the `coordinated_capping` binary: 8 nodes ×
-    /// tight/snug/medium/ample × the three power-aware policies, seed 2007.
-    pub fn coordinated_default() -> Self {
-        Self {
-            nodes: vec![8],
-            budgets: vec![
-                ("tight".into(), 0.45),
-                ("snug".into(), 0.55),
-                ("medium".into(), 0.7),
-                ("ample".into(), 1.0),
-            ],
-            policies: vec![
-                "power-aware".into(),
-                "power-aware-dvfs".into(),
-                "power-aware-coordinated".into(),
-            ],
-            seeds: vec![2007],
-            ..Self::default()
-        }
-    }
-
-    /// The default grid of the `scenario_sweep` binary: independent vs
-    /// coordinated capping across machine mixes, fault scenarios and
-    /// hostile arrival streams — the heterogeneous+faulty re-run of the
-    /// scoreboard.
-    pub fn scenario_default() -> Self {
-        Self {
-            nodes: vec![8],
-            budgets: vec![("tight".into(), 0.45), ("medium".into(), 0.7)],
-            policies: vec!["power-aware-dvfs".into(), "power-aware-coordinated".into()],
-            machine_mixes: vec!["uniform".into(), "mixed".into(), "legacy".into()],
-            faults: vec!["none".into(), "crash".into()],
-            arrivals: vec!["poisson".into(), "bursty".into()],
-            seeds: vec![2007],
-            ..Self::default()
-        }
-    }
-
-    /// Expands the DVFS on/off axis into the policy axis: with `off` only,
-    /// the base names; with `on`, each policy that has a joint DVFS+DCT
-    /// variant contributes it ("power-aware" → "power-aware-dvfs";
-    /// policies that are already DVFS-aware or have no frequency axis are
-    /// contributed once, by the `off` arm, so no cell is duplicated).
-    pub fn dvfs_axis(base: &[&str], on: &[bool]) -> Vec<String> {
-        let mut out = Vec::new();
-        for &dvfs in on {
-            for &name in base {
-                let effective = match (name, dvfs) {
-                    ("power-aware", true) => Some("power-aware-dvfs"),
-                    (_, true) => None, // no DVFS variant: covered by the off arm
-                    (name, false) => Some(name),
-                };
-                if let Some(e) = effective {
-                    if !out.contains(&e.to_string()) {
-                        out.push(e.to_string());
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Validates the axes: every axis non-empty, every policy/mix/fault/
     /// arrival name known, every budget fraction in (0, 1], node counts
     /// positive.
@@ -466,8 +385,6 @@ impl SweepSpec {
     /// * `arrivals` — comma-separated arrival-process names
     ///   ([`ARRIVAL_PROCESS_NAMES`]).
     /// * `seeds` — comma-separated values; `a..b` spans the half-open range.
-    /// * `dvfs` — `on`, `off` or `both`: rewrites the policy axis through
-    ///   [`Self::dvfs_axis`] (apply after `policies`).
     ///
     /// Unspecified axes keep the values `self` already has.
     pub fn with_grid(mut self, grid: &str) -> Result<Self, SweepError> {
@@ -535,20 +452,6 @@ impl SweepSpec {
                         }
                     }
                     self.seeds = seeds;
-                }
-                "dvfs" => {
-                    let on: &[bool] = match values {
-                        "on" => &[true],
-                        "off" => &[false],
-                        "both" => &[false, true],
-                        other => {
-                            return Err(invalid(format!(
-                                "dvfs must be on, off or both, got {other:?}"
-                            )))
-                        }
-                    };
-                    let base: Vec<&str> = self.policies.iter().map(String::as_str).collect();
-                    self.policies = Self::dvfs_axis(&base, on);
                 }
                 other => return Err(invalid(format!("unknown axis {other:?}"))),
             }
@@ -915,12 +818,30 @@ mod tests {
         assert_eq!(mixes[1].name, "mixed");
     }
 
+    /// 2/4/8 nodes × tight/medium/ample × `policies`, seed 2007.
+    fn three_tier_grid(policies: &[&str]) -> SweepSpec {
+        SweepSpec {
+            nodes: vec![2, 4, 8],
+            budgets: vec![("tight".into(), 0.45), ("medium".into(), 0.7), ("ample".into(), 1.0)],
+            policies: policies.iter().map(|p| p.to_string()).collect(),
+            ..SweepSpec::default()
+        }
+    }
+
     #[test]
     fn validation_rejects_bad_grids() {
-        let ok = SweepSpec::power_cap_default(true);
+        let ok = three_tier_grid(&POLICY_NAMES);
         assert!(ok.validate().is_ok());
         assert_eq!(ok.policies.len(), 5);
-        assert!(SweepSpec::scenario_default().validate().is_ok());
+        let scenario = SweepSpec {
+            budgets: vec![("tight".into(), 0.45), ("medium".into(), 0.7)],
+            policies: vec!["power-aware-dvfs".into(), "power-aware-coordinated".into()],
+            machine_mixes: vec!["uniform".into(), "mixed".into(), "legacy".into()],
+            faults: vec!["none".into(), "crash".into()],
+            arrivals: vec!["poisson".into(), "bursty".into()],
+            ..SweepSpec::default()
+        };
+        assert!(scenario.validate().is_ok());
 
         let empty = SweepSpec { nodes: vec![], ..ok.clone() };
         assert!(matches!(empty.validate(), Err(SweepError::InvalidGrid { .. })));
@@ -942,7 +863,7 @@ mod tests {
 
     #[test]
     fn grid_parsing_overrides_axes() {
-        let spec = SweepSpec::power_cap_default(false)
+        let spec = three_tier_grid(&["fcfs", "backfill", "power-aware"])
             .with_grid("nodes=2,8;budgets=t:0.5,a:1.0;policies=fcfs,power-aware;seeds=1..4,9")
             .unwrap();
         assert_eq!(spec.nodes, vec![2, 8]);
@@ -951,27 +872,19 @@ mod tests {
         assert_eq!(spec.seeds, vec![1, 2, 3, 9]);
 
         // The scenario axes parse the same way.
-        let hazard = SweepSpec::power_cap_default(false)
+        let hazard = three_tier_grid(&["fcfs", "backfill", "power-aware"])
             .with_grid("machines=uniform,mixed;faults=crash,storm;arrivals=bursty")
             .unwrap();
         assert_eq!(hazard.machine_mixes, vec!["uniform".to_string(), "mixed".into()]);
         assert_eq!(hazard.faults, vec!["crash".to_string(), "storm".into()]);
         assert_eq!(hazard.arrivals, vec!["bursty".to_string()]);
 
-        // dvfs rewrites the policy axis through dvfs_axis.
-        let both = SweepSpec::power_cap_default(false)
-            .with_grid("policies=fcfs,power-aware;dvfs=both")
-            .unwrap();
-        assert_eq!(
-            both.policies,
-            vec!["fcfs".to_string(), "power-aware".into(), "power-aware-dvfs".into()]
-        );
-
         for bad in [
             "nodes=two",
             "budgets=0.5",
             "seeds=5..5",
             "dvfs=sideways",
+            "dvfs=on",
             "warp=9",
             "policies=lottery",
             "machines=beowulf",
@@ -980,21 +893,10 @@ mod tests {
             "noequals",
         ] {
             assert!(
-                SweepSpec::power_cap_default(false).with_grid(bad).is_err(),
+                three_tier_grid(&["fcfs", "backfill", "power-aware"]).with_grid(bad).is_err(),
                 "{bad:?} must be rejected"
             );
         }
-    }
-
-    #[test]
-    fn dvfs_axis_expands_without_duplicates() {
-        let base = ["fcfs", "power-aware"];
-        assert_eq!(SweepSpec::dvfs_axis(&base, &[false]), vec!["fcfs", "power-aware"]);
-        assert_eq!(SweepSpec::dvfs_axis(&base, &[true]), vec!["power-aware-dvfs"]);
-        assert_eq!(
-            SweepSpec::dvfs_axis(&base, &[false, true]),
-            vec!["fcfs", "power-aware", "power-aware-dvfs"]
-        );
     }
 
     #[test]

@@ -53,27 +53,6 @@ pub fn job_table(report: &ClusterReport) -> Table {
     table
 }
 
-/// Column headers of the cluster-level comparison table — shared by
-/// [`cluster_summary_table`] and streaming producers
-/// (`actor_core::report::StreamingReporter`) so both render identically.
-pub fn cluster_summary_headers() -> Vec<&'static str> {
-    vec![
-        "policy",
-        "nodes",
-        "budget W",
-        "jobs",
-        "makespan s",
-        "energy kJ",
-        "avg power W",
-        "peak W",
-        "cluster ED2 MJ.s2",
-        "avg wait s",
-        "misses",
-        "throttled %",
-        "cap viol",
-    ]
-}
-
 /// One run's row of the cluster-level comparison table (the one definition
 /// of the row format; [`cluster_summary_table`] delegates here).
 pub fn cluster_summary_row(r: &ClusterReport) -> Vec<String> {
@@ -96,7 +75,21 @@ pub fn cluster_summary_row(r: &ClusterReport) -> Vec<String> {
 
 /// Cluster-level comparison table: one row per run.
 pub fn cluster_summary_table(reports: &[ClusterReport]) -> Table {
-    let mut table = Table::new(cluster_summary_headers());
+    let mut table = Table::new(vec![
+        "policy",
+        "nodes",
+        "budget W",
+        "jobs",
+        "makespan s",
+        "energy kJ",
+        "avg power W",
+        "peak W",
+        "cluster ED2 MJ.s2",
+        "avg wait s",
+        "misses",
+        "throttled %",
+        "cap viol",
+    ]);
     for r in reports {
         table.push_row(cluster_summary_row(r));
     }
