@@ -12,9 +12,8 @@
 //!
 //! The pieces:
 //!
-//! * [`node::Node`] — one cluster node: a [`xeon_sim::Machine`] plus per-node
-//!   [`actor_core::ActorRuntime`] state (the running job's phase → binding
-//!   plan, as a live `phase_rt` team would consult it) and energy accounting.
+//! * [`node::Node`] — one cluster node: a [`xeon_sim::Machine`], the running
+//!   job share with its per-phase plan, and energy accounting.
 //! * [`job`] — [`job::Job`], [`job::JobOutcome`] and seeded workload
 //!   generation from [`npb_workloads::suite`] (Poisson arrivals, priorities,
 //!   deadlines, per-job problem scaling).
@@ -55,7 +54,7 @@ pub use fleet::{
     MACHINE_MIX_NAMES,
 };
 pub use job::{ArrivalProcess, Job, JobOutcome, TenantSpec, WorkloadSpec};
-pub use node::{binding_for, Node};
+pub use node::Node;
 pub use policy::{
     policy_by_name, Assignment, BackfillPolicy, FcfsPolicy, PowerAwarePolicy, SchedContext,
     SchedulerPolicy, POLICY_NAMES,

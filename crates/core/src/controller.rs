@@ -34,8 +34,7 @@
 //! | [`DecisionTableController`] | pre-computed offline [`ThrottleDecision`]s (the paper's deployment mode) |
 //! | [`OracleController`] | ground-truth per-configuration measurements |
 //! | [`StaticController`] | a fixed configuration (OS default / global-optimal baselines) |
-//! | [`EmpiricalSearchController`] | model-free exploration, as in the authors' earlier work \[17\] |
-//! | [`JointSearchController`] | model-free exploration of the joint (threads × frequency) space |
+//! | [`JointSearchController`] | model-free exploration of the joint (threads × frequency) space — the empirical search of \[17\] when no ladder is offered |
 //!
 //! The decision space is the joint (threads × frequency) grid: a caller that
 //! can actuate DVFS offers the machine's ladder through
@@ -1135,93 +1134,23 @@ impl PowerPerfController for StaticController {
     }
 }
 
-/// Model-free controller: the online empirical search of the authors'
-/// earlier work \[17\]. Each phase measures every candidate once and then
-/// locks the fastest.
-///
-/// Unlike the raw [`crate::baselines::EmpiricalSearchPolicy`] (which counts
-/// observations and assumes the caller feeds exactly one per candidate), this
-/// controller
-/// tracks coverage *by configuration*: duplicate measurements of a
-/// candidate — common in generic harnesses that replay the sampling window
-/// alongside decided configurations — are dropped (the first measurement
-/// wins) rather than consuming another exploration slot, so the search
-/// never locks before every candidate has actually been measured.
-#[derive(Debug, Clone)]
-pub struct EmpiricalSearchController {
-    candidates: Vec<Configuration>,
-    /// First measured time per (phase, candidate).
-    measured: HashMap<PhaseId, Vec<(Configuration, f64)>>,
-}
-
-impl Default for EmpiricalSearchController {
-    fn default() -> Self {
-        Self::new(Configuration::ALL.to_vec())
-    }
-}
-
-impl EmpiricalSearchController {
-    /// Searches over the given candidates, in exploration order.
-    pub fn new(candidates: Vec<Configuration>) -> Self {
-        Self { candidates, measured: HashMap::new() }
-    }
-}
-
-impl PowerPerfController for EmpiricalSearchController {
-    fn name(&self) -> &'static str {
-        "empirical-search"
-    }
-
-    fn observe(&mut self, phase: PhaseId, sample: &PhaseSample) {
-        if !self.candidates.contains(&sample.config) {
-            return;
-        }
-        let measured = self.measured.entry(phase).or_default();
-        if measured.iter().all(|(c, _)| *c != sample.config) {
-            measured.push((sample.config, sample.time_s));
-        }
-    }
-
-    fn decide(&mut self, ctx: &DecisionCtx<'_>) -> Decision {
-        let total = self.candidates.len();
-        let measured = self.measured.get(&ctx.phase).map(Vec::as_slice).unwrap_or(&[]);
-        // Still exploring: run the first candidate without a measurement.
-        if let Some(next) =
-            self.candidates.iter().find(|c| measured.iter().all(|(m, _)| *m != **c)).copied()
-        {
-            return Decision::from_config(
-                next,
-                ctx.shape,
-                Rationale::Exploring { tried: measured.len(), total },
-            );
-        }
-        // Every candidate measured: lock the fastest (ties keep the
-        // earlier-measured candidate).
-        match measured.iter().min_by(|a, b| a.1.total_cmp(&b.1)) {
-            Some(&(config, time_s)) => {
-                Decision::from_config(config, ctx.shape, Rationale::Measured { time_s })
-            }
-            None => Decision::from_config(
-                Configuration::SAMPLE,
-                ctx.shape,
-                Rationale::Static { label: "no-candidates" },
-            ),
-        }
-    }
-}
-
 /// Model-free exploration of the *joint* (configuration × frequency) space:
-/// the DVFS+DCT generalisation of [`EmpiricalSearchController`]. Each phase
-/// measures every admissible cell once (coverage tracked per cell; duplicate
-/// observations are dropped — first measurement wins — rather than
-/// consuming exploration slots) and then locks the fastest measured cell.
+/// the workspace's one empirical search. Each phase measures every
+/// admissible cell once (coverage tracked per cell; duplicate observations
+/// are dropped — first measurement wins — rather than consuming exploration
+/// slots) and then locks the fastest measured cell.
 ///
 /// The ladder depth comes from the decision context: with no
-/// [`DvfsSpace`] offered the search degenerates to the nominal-only
-/// candidate list, exactly like the concurrency-only search. Cells whose
-/// known power exceeds the context's cap are excluded from both exploration
-/// and locking; if no cell is admissible the decision is
+/// [`DvfsSpace`] offered the search is the concurrency-only online
+/// empirical search of the authors' earlier work \[17\] — every
+/// configuration once, in candidate order, then the fastest locked. Cells
+/// whose known power exceeds the context's cap are excluded from both
+/// exploration and locking; if no cell is admissible the decision is
 /// [`Rationale::Infeasible`].
+///
+/// On an exact time tie the lock keeps the earlier cell *in exploration
+/// order*, not the earlier-measured one; the two agree whenever cells are
+/// measured in the order this controller explores them.
 #[derive(Debug, Clone)]
 pub struct JointSearchController {
     candidates: Vec<Configuration>,
@@ -1438,29 +1367,6 @@ mod tests {
             assert_eq!(d.configuration(&shape), Some(*want), "phase {i}");
             assert!(matches!(d.rationale, Rationale::Oracle { .. }));
         }
-    }
-
-    #[test]
-    fn empirical_search_controller_explores_then_locks() {
-        let shape = quad();
-        let phase = PhaseId::new(0);
-        let candidates = CandidatePerf::all_unknown();
-        let mut c = EmpiricalSearchController::default();
-        // Time per configuration: TwoLoose is fastest.
-        let times = [10.0, 8.0, 4.0, 6.0, 7.0];
-        for (i, (&config, time)) in Configuration::ALL.iter().zip(times).enumerate() {
-            let ctx = DecisionCtx::unconstrained(phase, &shape, &candidates);
-            let d = c.decide(&ctx);
-            assert_eq!(d.configuration(&shape), Some(config), "step {i} explores in order");
-            assert!(matches!(d.rationale, Rationale::Exploring { .. }));
-            c.observe(phase, &PhaseSample::measurement(config, time));
-        }
-        let d = c.decide(&DecisionCtx::unconstrained(phase, &shape, &candidates));
-        assert_eq!(d.configuration(&shape), Some(Configuration::TwoLoose));
-        assert!(matches!(d.rationale, Rationale::Measured { .. }));
-        // Deciding repeatedly does not advance the search.
-        let again = c.decide(&DecisionCtx::unconstrained(phase, &shape, &candidates));
-        assert_eq!(again, d);
     }
 
     #[test]
@@ -1743,17 +1649,47 @@ mod tests {
         let phase = PhaseId::new(0);
         let candidates = CandidatePerf::all_unknown();
         let mut c = JointSearchController::default();
+        // Time per configuration: TwoLoose is fastest.
         let times = [10.0, 8.0, 4.0, 6.0, 7.0];
-        for (&config, time) in Configuration::ALL.iter().zip(times) {
+        for (i, (&config, time)) in Configuration::ALL.iter().zip(times).enumerate() {
             let ctx = DecisionCtx::unconstrained(phase, &shape, &candidates);
             let d = c.decide(&ctx);
-            assert_eq!(d.configuration(&shape), Some(config));
+            assert_eq!(d.configuration(&shape), Some(config), "step {i} explores in order");
             assert!(d.freq_step.is_nominal(), "no ladder ⇒ nominal-only exploration");
+            assert!(matches!(d.rationale, Rationale::Exploring { tried, total: 5 } if tried == i));
             c.observe(phase, &PhaseSample::measurement(config, time));
         }
         let d = c.decide(&DecisionCtx::unconstrained(phase, &shape, &candidates));
         assert_eq!(d.configuration(&shape), Some(Configuration::TwoLoose));
         assert!(d.freq_step.is_nominal());
+        assert!(matches!(d.rationale, Rationale::Measured { .. }));
+        // Deciding repeatedly does not advance the search.
+        let again = c.decide(&DecisionCtx::unconstrained(phase, &shape, &candidates));
+        assert_eq!(again, d);
+    }
+
+    #[test]
+    fn empirical_search_over_simulated_times_locks_the_fastest_configuration() {
+        // The concurrency-only search measured through the machine model:
+        // IS's rank phase is fastest on two loosely-coupled cores.
+        let machine = Machine::xeon_qx6600();
+        let shape = shape_of(&machine);
+        let phase = &suite::benchmark(BenchmarkId::Is).phases[0];
+        let pid = PhaseId::new(0);
+        let candidates = CandidatePerf::all_unknown();
+        let mut c = JointSearchController::default();
+        let d = loop {
+            let d = c.decide(&DecisionCtx::unconstrained(pid, &shape, &candidates));
+            if !matches!(d.rationale, Rationale::Exploring { .. }) {
+                break d;
+            }
+            let config = d.configuration(&shape).expect("paper configuration");
+            c.observe(
+                pid,
+                &PhaseSample::measurement(config, machine.simulate_config(phase, config).time_s),
+            );
+        };
+        assert_eq!(d.configuration(&shape), Some(Configuration::TwoLoose));
     }
 
     #[test]
@@ -1937,7 +1873,7 @@ mod tests {
         let shape = quad();
         let phase = PhaseId::new(1);
         let candidates = CandidatePerf::all_unknown();
-        let mut c = EmpiricalSearchController::default();
+        let mut c = JointSearchController::default();
         for _ in 0..10 {
             c.observe(phase, &PhaseSample::measurement(Configuration::Four, 7.0));
         }

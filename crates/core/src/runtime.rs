@@ -1,34 +1,22 @@
 //! Live ACTOR runtime: a [`phase_rt::RegionListener`] that throttles real
 //! parallel regions.
 //!
-//! Three throttling modes are provided for the live path (where phases are
-//! real code running on real threads rather than machine-model profiles):
+//! The runtime is the closed controller loop on the live path (where phases
+//! are real code running on real threads rather than machine-model
+//! profiles): any [`PowerPerfController`] sits behind the shared
+//! [`crate::control_plane::ControlPlane`] and is driven online. Every region
+//! execution is observed (wall-clock measurement, plus counter-derived
+//! feature windows when a [`CounterSampler`] is attached), and every upcoming
+//! execution asks the controller for its binding — the ANN predictor, a
+//! decision table, the model-free [`crate::JointSearchController`], or any
+//! custom controller drives live `phase-rt` kernels end to end through the
+//! exact same decision cycle the adaptation harness and the cluster
+//! scheduler use.
 //!
-//! * [`ThrottleMode::Search`] — the online empirical-search strategy of the
-//!   authors' earlier work \[17\]: the first executions of each phase try every
-//!   candidate binding once, measuring wall-clock time; the fastest binding
-//!   is then locked in for all subsequent executions. This is the strategy
-//!   ACTOR's prediction approach is designed to out-scale (its exploration
-//!   cost grows with the number of configurations), but it is fully
-//!   model-free and therefore ideal for live demonstrations.
-//! * [`ThrottleMode::Fixed`] — apply a pre-computed plan (e.g. decisions
-//!   produced by the ANN predictor offline) to the phases of a live program.
-//! * [`ThrottleMode::Controller`] — the closed loop: any
-//!   [`PowerPerfController`] sits behind the shared
-//!   [`crate::control_plane::ControlPlane`] and is driven online. Every
-//!   region execution is observed (wall-clock measurement, plus
-//!   counter-derived feature windows when a [`CounterSampler`] is attached),
-//!   and every upcoming execution asks the controller for its binding — the
-//!   ANN predictor, the decision table, empirical/joint search, or any
-//!   custom controller drives live `phase-rt` kernels end to end through
-//!   the exact same decision cycle the adaptation harness and the cluster
-//!   scheduler use.
-//!
-//! The `Search` and `Fixed` modes predate the controller trait and are kept
-//! bit-for-bit: `Search` *is* [`crate::EmpiricalSearchController`]'s
-//! strategy specialised to wall-clock candidates, and `Fixed` is a
-//! degenerate decision table — but their decision state lives in this
-//! listener so existing plans and traces stay byte-identical.
+//! The authors' online empirical search \[17\] is
+//! [`crate::JointSearchController`]; a fixed phase → configuration plan (e.g.
+//! decisions produced by the ANN predictor offline) is a
+//! [`crate::DecisionTableController`].
 
 use std::collections::HashMap;
 use std::fmt;
@@ -36,46 +24,11 @@ use std::fmt;
 use parking_lot::Mutex;
 
 use hwcounters::{CounterBackend, EventRates, EventSet};
-use phase_rt::{Binding, PhaseId, RegionEvent, RegionListener};
+use phase_rt::{Binding, MachineShape, PhaseId, RegionEvent, RegionListener};
 use xeon_sim::{Configuration, HwEvent};
 
 use crate::control_plane::ControlPlane;
 use crate::controller::{configuration_of, CandidatePerf, PhaseSample, PowerPerfController};
-
-/// How the live runtime decides per-phase bindings.
-///
-/// Marked `#[non_exhaustive]`: match with a wildcard arm downstream.
-#[non_exhaustive]
-pub enum ThrottleMode {
-    /// Measure every candidate binding once per phase, then lock the fastest.
-    Search {
-        /// Candidate bindings to explore, in exploration order.
-        candidates: Vec<Binding>,
-    },
-    /// Apply a fixed phase → binding plan; phases not in the plan run with
-    /// whatever the application requested.
-    Fixed {
-        /// The plan.
-        plan: HashMap<PhaseId, Binding>,
-    },
-    /// Ask a [`PowerPerfController`] before every execution, observing every
-    /// completed execution — the live closed loop. The controller actuates
-    /// on the host machine's shape ([`phase_rt::MachineShape::host`]); use
-    /// [`ActorRuntime::controller_driven`] to pick the shape explicitly.
-    Controller(Box<dyn PowerPerfController + Send>),
-}
-
-impl fmt::Debug for ThrottleMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ThrottleMode::Search { candidates } => {
-                f.debug_struct("Search").field("candidates", candidates).finish()
-            }
-            ThrottleMode::Fixed { plan } => f.debug_struct("Fixed").field("plan", plan).finish(),
-            ThrottleMode::Controller(c) => f.debug_tuple("Controller").field(&c.name()).finish(),
-        }
-    }
-}
 
 /// One live counter window, as a [`CounterSampler`] reports it: the
 /// Equation-2 feature vector plus the IPC observed over one region
@@ -145,25 +98,16 @@ impl<B: CounterBackend + Send> CounterSampler for BackendSampler<B> {
 
     fn sample(&mut self, _event: &RegionEvent) -> Option<CounterWindow> {
         let counters = self.backend.read();
+        // `from_counters` refuses empty and non-finite windows, so the cycle
+        // count divided by below is finite and positive.
         let rates = EventRates::from_counters(&counters, &self.events)?;
-        let cycles = counters.get(HwEvent::Cycles);
-        let stall_fraction = (cycles > 0.0)
-            .then(|| (counters.get(HwEvent::MemStallCycles) / cycles).clamp(0.0, 1.0));
+        let stall = counters.get(HwEvent::MemStallCycles) / counters.get(HwEvent::Cycles);
+        let stall_fraction = stall.is_finite().then(|| stall.clamp(0.0, 1.0));
         Some(CounterWindow { features: rates.features(), ipc: rates.ipc(), stall_fraction })
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct SearchState {
-    /// Total observed time (s) per candidate index.
-    observed: Vec<(usize, f64)>,
-    /// Locked decision, once every candidate has been measured.
-    decision: Option<usize>,
-    /// Candidate that the most recent execution was asked to use.
-    in_flight: Option<usize>,
-}
-
-/// The live controller loop's state (the `Controller` mode).
+/// The live controller loop's state.
 struct LiveLoop {
     plane: ControlPlane<Box<dyn PowerPerfController + Send>>,
     candidates: Vec<CandidatePerf>,
@@ -183,131 +127,62 @@ impl fmt::Debug for LiveLoop {
     }
 }
 
-#[derive(Debug)]
-enum Mode {
-    Search { candidates: Vec<Binding>, state: Mutex<HashMap<PhaseId, SearchState>> },
-    Fixed { plan: HashMap<PhaseId, Binding> },
-    Controller(Box<Mutex<LiveLoop>>),
-}
-
 /// The live ACTOR runtime.
 #[derive(Debug)]
 pub struct ActorRuntime {
-    mode: Mode,
+    live: Mutex<LiveLoop>,
 }
 
 impl ActorRuntime {
-    /// Creates a runtime in the given mode. A [`ThrottleMode::Controller`]
-    /// actuates on the host machine's shape; use
-    /// [`ActorRuntime::controller_driven`] to choose the shape.
-    pub fn new(mode: ThrottleMode) -> Self {
-        match mode {
-            ThrottleMode::Search { candidates } => {
-                Self { mode: Mode::Search { candidates, state: Mutex::new(HashMap::new()) } }
-            }
-            ThrottleMode::Fixed { plan } => Self { mode: Mode::Fixed { plan } },
-            ThrottleMode::Controller(controller) => {
-                Self::controller_driven(controller, &phase_rt::MachineShape::host())
-            }
-        }
-    }
-
     /// Creates a live controller loop actuating on `shape`: every region
     /// execution is observed, every upcoming execution asks `controller`
     /// for its binding through the shared control plane.
-    pub fn controller_driven(
-        controller: Box<dyn PowerPerfController + Send>,
-        shape: &phase_rt::MachineShape,
-    ) -> Self {
+    pub fn new(controller: Box<dyn PowerPerfController + Send>, shape: &MachineShape) -> Self {
         Self {
-            mode: Mode::Controller(Box::new(Mutex::new(LiveLoop {
+            live: Mutex::new(LiveLoop {
                 plane: ControlPlane::new(controller, *shape),
                 candidates: CandidatePerf::all_unknown(),
                 power_cap_w: None,
                 sampler: None,
                 decisions: HashMap::new(),
-            }))),
+            }),
         }
     }
 
-    /// Sets the average-power cap offered to a controller-driven runtime
-    /// (no-op in the other modes, which cannot interpret one).
-    pub fn with_power_cap(self, power_cap_w: f64) -> Self {
-        if let Mode::Controller(live) = &self.mode {
-            live.lock().power_cap_w = Some(power_cap_w);
-        }
+    /// Sets the average-power cap offered to the controller in every
+    /// decision.
+    pub fn with_power_cap(mut self, power_cap_w: f64) -> Self {
+        self.live.get_mut().power_cap_w = Some(power_cap_w);
         self
     }
 
-    /// Attaches a telemetry sink to a controller-driven runtime (no-op in
-    /// the other modes): every validated live decision then emits one
-    /// [`crate::telemetry::TraceEvent::Decision`] through the shared
+    /// Attaches a telemetry sink: every validated live decision then emits
+    /// one [`crate::telemetry::TraceEvent::Decision`] through the shared
     /// control plane.
     #[must_use]
-    pub fn with_telemetry(self, sink: crate::telemetry::SharedSink) -> Self {
-        if let Mode::Controller(live) = &self.mode {
-            live.lock().plane.set_telemetry(Some(sink));
-        }
+    pub fn with_telemetry(mut self, sink: crate::telemetry::SharedSink) -> Self {
+        self.live.get_mut().plane.set_telemetry(Some(sink));
         self
     }
 
-    /// Attaches an online counter sampler to a controller-driven runtime
-    /// (no-op in the other modes): completed sampling-configuration
+    /// Attaches an online counter sampler: completed sampling-configuration
     /// executions then feed full feature windows to the controller instead
     /// of plain wall-clock measurements.
-    pub fn with_counter_sampler(self, sampler: Box<dyn CounterSampler>) -> Self {
-        if let Mode::Controller(live) = &self.mode {
-            live.lock().sampler = Some(sampler);
-        }
+    pub fn with_counter_sampler(mut self, sampler: Box<dyn CounterSampler>) -> Self {
+        self.live.get_mut().sampler = Some(sampler);
         self
     }
 
-    /// Creates a search-mode runtime over the standard five configurations
-    /// mapped onto the given machine shape.
-    pub fn search_over_standard_configs(shape: &phase_rt::MachineShape) -> Self {
-        let candidates = vec![
-            Binding::packed(1, shape),
-            Binding::packed(2, shape),
-            Binding::spread(2, shape),
-            Binding::spread(3, shape),
-            Binding::packed(shape.num_cores, shape),
-        ];
-        Self::new(ThrottleMode::Search { candidates })
-    }
-
-    /// The decision currently in force for a phase: the planned binding
-    /// (fixed mode), the locked binding (search mode; `None` while still
-    /// exploring) or the most recent validated controller decision
-    /// (controller mode; `None` before the phase first executed).
+    /// The most recent validated decision for a phase (`None` before the
+    /// phase first executed).
     pub fn decision_for(&self, phase: PhaseId) -> Option<Binding> {
-        match &self.mode {
-            Mode::Fixed { plan } => plan.get(&phase).cloned(),
-            Mode::Search { candidates, state } => {
-                let search = state.lock();
-                search
-                    .get(&phase)
-                    .and_then(|s| s.decision)
-                    .and_then(|idx| candidates.get(idx).cloned())
-            }
-            Mode::Controller(live) => live.lock().decisions.get(&phase).cloned(),
-        }
+        self.live.lock().decisions.get(&phase).cloned()
     }
 
     /// All decisions currently in force, sorted by phase.
     pub fn decisions(&self) -> Vec<(PhaseId, Binding)> {
-        let mut out: Vec<(PhaseId, Binding)> = match &self.mode {
-            Mode::Fixed { plan } => plan.iter().map(|(p, b)| (*p, b.clone())).collect(),
-            Mode::Search { candidates, state } => {
-                let search = state.lock();
-                search
-                    .iter()
-                    .filter_map(|(p, s)| s.decision.map(|i| (*p, candidates[i].clone())))
-                    .collect()
-            }
-            Mode::Controller(live) => {
-                live.lock().decisions.iter().map(|(p, b)| (*p, b.clone())).collect()
-            }
-        };
+        let mut out: Vec<(PhaseId, Binding)> =
+            self.live.lock().decisions.iter().map(|(p, b)| (*p, b.clone())).collect();
         out.sort_by_key(|(p, _)| *p);
         out
     }
@@ -320,177 +195,59 @@ impl RegionListener for ActorRuntime {
         _requested: &Binding,
         instance: u64,
     ) -> Option<Binding> {
-        match &self.mode {
-            Mode::Fixed { plan } => plan.get(&phase).cloned(),
-            Mode::Search { candidates, state } => {
-                if candidates.is_empty() {
-                    return None;
-                }
-                let mut search = state.lock();
-                let state = search.entry(phase).or_default();
-                let idx = match state.decision {
-                    Some(idx) => idx,
-                    None => {
-                        let next = state.observed.len().min(candidates.len() - 1);
-                        state.in_flight = Some(next);
-                        next
-                    }
-                };
-                Some(candidates[idx].clone())
-            }
-            Mode::Controller(live) => {
-                let live = &mut *live.lock();
-                if let Some(sampler) = live.sampler.as_mut() {
-                    sampler.begin(phase, instance);
-                }
-                // A controller contract violation in the live path is a
-                // defective controller, not a runnable binding — fail loudly
-                // (the same convention as the cluster policies).
-                let pd = live
-                    .plane
-                    .decide(phase, &live.candidates, None, live.power_cap_w)
-                    .unwrap_or_else(|v| panic!("live control plane: {v}"));
-                live.decisions.insert(phase, pd.decision.binding.clone());
-                Some(pd.decision.binding)
-            }
+        let live = &mut *self.live.lock();
+        if let Some(sampler) = live.sampler.as_mut() {
+            sampler.begin(phase, instance);
         }
+        // A controller contract violation in the live path is a defective
+        // controller, not a runnable binding — fail loudly (the same
+        // convention as the cluster policies).
+        let pd = live
+            .plane
+            .decide(phase, &live.candidates, None, live.power_cap_w)
+            .unwrap_or_else(|v| panic!("live control plane: {v}"));
+        live.decisions.insert(phase, pd.decision.binding.clone());
+        Some(pd.decision.binding)
     }
 
     fn after_region(&self, event: &RegionEvent) {
-        match &self.mode {
-            Mode::Fixed { .. } => {}
-            Mode::Search { candidates, state } => {
-                let mut search = state.lock();
-                let Some(state) = search.get_mut(&event.phase) else { return };
-                if state.decision.is_some() {
-                    return;
-                }
-                if let Some(idx) = state.in_flight.take() {
-                    state.observed.push((idx, event.duration.as_secs_f64()));
-                    if state.observed.len() >= candidates.len() {
-                        let best = state
-                            .observed
-                            .iter()
-                            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite durations"))
-                            .map(|(idx, _)| *idx);
-                        state.decision = best;
-                    }
+        let live = &mut *self.live.lock();
+        // A binding outside the paper's five configurations (the application
+        // requested something exotic and no override was possible) carries
+        // no observable the controllers understand.
+        let Some(config) = configuration_of(&event.binding, live.plane.shape()) else {
+            return;
+        };
+        let time_s = event.duration.as_secs_f64();
+        let window = live.sampler.as_mut().and_then(|s| s.sample(event));
+        let sample = match window {
+            // Counter features are only meaningful on the sampling
+            // configuration — the protocol the predictors were trained on.
+            Some(w) if config == Configuration::SAMPLE => {
+                let sample = PhaseSample::sampling(w.features, w.ipc, time_s);
+                match w.stall_fraction {
+                    Some(mu) => sample.with_stall_fraction(mu),
+                    None => sample,
                 }
             }
-            Mode::Controller(live) => {
-                let live = &mut *live.lock();
-                // A binding outside the paper's five configurations (the
-                // application requested something exotic and no override was
-                // possible) carries no observable the controllers understand.
-                let Some(config) = configuration_of(&event.binding, live.plane.shape()) else {
-                    return;
-                };
-                let time_s = event.duration.as_secs_f64();
-                let window = live.sampler.as_mut().and_then(|s| s.sample(event));
-                let sample = match window {
-                    // Counter features are only meaningful on the sampling
-                    // configuration — the protocol the predictors were
-                    // trained on.
-                    Some(w) if config == Configuration::SAMPLE => {
-                        let sample = PhaseSample::sampling(w.features, w.ipc, time_s);
-                        match w.stall_fraction {
-                            Some(mu) => sample.with_stall_fraction(mu),
-                            None => sample,
-                        }
-                    }
-                    _ => PhaseSample::measurement(config, time_s),
-                };
-                live.plane.observe(event.phase, &sample);
-            }
-        }
+            _ => PhaseSample::measurement(config, time_s),
+        };
+        live.plane.observe(event.phase, &sample);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::{EmpiricalSearchController, StaticController};
+    use crate::controller::{
+        binding_for, JointSearchController, OracleController, StaticController,
+    };
     use crate::throttle::select_configuration;
     use crate::DecisionTableController;
-    use phase_rt::{MachineShape, Team};
+    use phase_rt::Team;
     use std::sync::Arc;
     use std::time::Duration;
-
-    #[test]
-    fn fixed_mode_applies_the_plan() {
-        let shape = MachineShape::quad_core();
-        let mut plan = HashMap::new();
-        plan.insert(PhaseId::new(1), Binding::packed(1, &shape));
-        let runtime = ActorRuntime::new(ThrottleMode::Fixed { plan });
-        let requested = Binding::packed(4, &shape);
-        let throttled = runtime.before_region(PhaseId::new(1), &requested, 0).unwrap();
-        assert_eq!(throttled.num_threads(), 1);
-        assert!(runtime.before_region(PhaseId::new(2), &requested, 0).is_none());
-        assert_eq!(runtime.decisions().len(), 1);
-        assert_eq!(runtime.decision_for(PhaseId::new(1)).unwrap().num_threads(), 1);
-    }
-
-    #[test]
-    fn search_mode_explores_then_locks_the_fastest_binding() {
-        let shape = MachineShape::quad_core();
-        let candidates = vec![
-            Binding::packed(1, &shape),
-            Binding::spread(2, &shape),
-            Binding::packed(4, &shape),
-        ];
-        let runtime = ActorRuntime::new(ThrottleMode::Search { candidates: candidates.clone() });
-        let phase = PhaseId::new(7);
-        let requested = Binding::packed(4, &shape);
-
-        // Simulate three executions with known durations: the 2-thread
-        // binding is fastest.
-        let durations = [30, 10, 20];
-        for (i, ms) in durations.iter().enumerate() {
-            let binding = runtime.before_region(phase, &requested, i as u64).unwrap();
-            assert_eq!(binding, candidates[i], "exploration proceeds in candidate order");
-            runtime.after_region(&RegionEvent {
-                phase,
-                binding,
-                duration: Duration::from_millis(*ms),
-                instance: i as u64,
-            });
-        }
-        let decided = runtime.decision_for(phase).unwrap();
-        assert_eq!(decided, candidates[1]);
-        // Subsequent executions keep the decision.
-        let again = runtime.before_region(phase, &requested, 3).unwrap();
-        assert_eq!(again, candidates[1]);
-        assert_eq!(runtime.decisions(), vec![(phase, candidates[1].clone())]);
-    }
-
-    #[test]
-    fn search_runtime_drives_a_live_team() {
-        let team = Team::new(4).unwrap();
-        let shape = *team.shape();
-        let runtime = Arc::new(ActorRuntime::search_over_standard_configs(&shape));
-        team.set_listener(runtime.clone());
-        let phase = PhaseId::new(42);
-        let requested = Binding::packed(4, &shape);
-        // Run enough instances to finish the 5-candidate exploration.
-        for _ in 0..8 {
-            team.run_region(phase, &requested, |_ctx| {
-                // A tiny amount of work.
-                std::hint::black_box((0..1000).sum::<u64>());
-            });
-        }
-        assert!(
-            runtime.decision_for(phase).is_some(),
-            "after exploring all candidates the runtime must lock a decision"
-        );
-    }
-
-    #[test]
-    fn empty_candidate_list_never_overrides() {
-        let shape = MachineShape::quad_core();
-        let runtime = ActorRuntime::new(ThrottleMode::Search { candidates: vec![] });
-        assert!(runtime.before_region(PhaseId::new(0), &Binding::packed(2, &shape), 0).is_none());
-        assert!(runtime.decisions().is_empty());
-    }
+    use xeon_sim::{CounterVector, Machine};
 
     /// Drives one phase through a scripted sequence of region executions.
     fn drive(runtime: &ActorRuntime, phase: PhaseId, shape: &MachineShape, times_ms: &[u64]) {
@@ -508,7 +265,7 @@ mod tests {
     }
 
     #[test]
-    fn controller_mode_replays_a_decision_table() {
+    fn live_loop_replays_a_decision_table() {
         let shape = MachineShape::quad_core();
         let phase = PhaseId::new(0);
         let decision = select_configuration(
@@ -520,10 +277,8 @@ mod tests {
                 (Configuration::Three, 1.2),
             ],
         );
-        let runtime = ActorRuntime::controller_driven(
-            Box::new(DecisionTableController::new([(phase, decision)])),
-            &shape,
-        );
+        let runtime =
+            ActorRuntime::new(Box::new(DecisionTableController::new([(phase, decision)])), &shape);
         drive(&runtime, phase, &shape, &[10, 10, 10]);
         let binding = runtime.decision_for(phase).unwrap();
         assert_eq!(binding.num_threads(), 2, "the table's 2b decision is enforced live");
@@ -531,29 +286,27 @@ mod tests {
     }
 
     #[test]
-    fn controller_mode_closes_the_loop_with_empirical_search() {
+    fn live_loop_closes_the_loop_with_empirical_search() {
         let shape = MachineShape::quad_core();
         let phase = PhaseId::new(3);
-        let runtime =
-            ActorRuntime::controller_driven(Box::new(EmpiricalSearchController::default()), &shape);
+        let runtime = ActorRuntime::new(Box::new(JointSearchController::default()), &shape);
+        assert!(runtime.decision_for(phase).is_none(), "no decision before the first execution");
         // Five explorations (TwoLoose fastest), then the lock-in.
         drive(&runtime, phase, &shape, &[50, 40, 10, 30, 20, 25, 25]);
         let binding = runtime.decision_for(phase).unwrap();
         assert_eq!(
             binding,
-            crate::controller::binding_for(Configuration::TwoLoose, &shape),
+            binding_for(Configuration::TwoLoose, &shape),
             "the live loop must lock the fastest measured configuration"
         );
     }
 
     #[test]
-    fn controller_mode_drives_a_live_team() {
+    fn live_loop_drives_a_live_team() {
         let team = Team::new(4).unwrap();
         let shape = *team.shape();
-        let runtime = Arc::new(ActorRuntime::controller_driven(
-            Box::new(EmpiricalSearchController::default()),
-            &shape,
-        ));
+        let runtime =
+            Arc::new(ActorRuntime::new(Box::new(JointSearchController::default()), &shape));
         team.set_listener(runtime.clone());
         let phase = PhaseId::new(11);
         let requested = Binding::packed(4, &shape);
@@ -570,9 +323,37 @@ mod tests {
     }
 
     #[test]
-    fn controller_mode_feeds_counter_windows_on_the_sampling_configuration() {
+    fn live_loop_honours_a_power_cap() {
+        let machine = Machine::xeon_qx6600();
+        let bench = npb_workloads::suite::benchmark(npb_workloads::BenchmarkId::Cg);
+        let shape = MachineShape::quad_core();
+        let phase = PhaseId::new(0);
+        let truth: Vec<_> = Configuration::ALL
+            .iter()
+            .map(|&c| (c, machine.simulate_config(&bench.phases[0], c)))
+            .collect();
+        let fastest = truth.iter().min_by(|a, b| a.1.time_s.total_cmp(&b.1.time_s)).unwrap();
+        let cap = fastest.1.avg_power_w - 1e-3;
+        let capped_best = truth
+            .iter()
+            .filter(|(_, exec)| exec.avg_power_w <= cap)
+            .min_by(|a, b| a.1.time_s.total_cmp(&b.1.time_s))
+            .expect("some configuration fits under the cap");
+        assert_ne!(capped_best.0, fastest.0, "the cap must bind");
+
+        let oracle = || Box::new(OracleController::for_benchmark(&machine, &bench));
+        let uncapped = ActorRuntime::new(oracle(), &shape);
+        drive(&uncapped, phase, &shape, &[10]);
+        assert_eq!(uncapped.decision_for(phase), Some(binding_for(fastest.0, &shape)));
+
+        let capped = ActorRuntime::new(oracle(), &shape).with_power_cap(cap);
+        drive(&capped, phase, &shape, &[10]);
+        assert_eq!(capped.decision_for(phase), Some(binding_for(capped_best.0, &shape)));
+    }
+
+    #[test]
+    fn live_loop_feeds_counter_windows_on_the_sampling_configuration() {
         use hwcounters::SimBackend;
-        use xeon_sim::CounterVector;
 
         // A sampler whose windows carry a fixed feature vector.
         let mut backend = SimBackend::new();
@@ -605,21 +386,67 @@ mod tests {
         // The static controller ignores the features, but the loop must
         // still deliver them without panicking.
         let shape = MachineShape::quad_core();
-        let runtime =
-            ActorRuntime::controller_driven(Box::new(StaticController::os_default()), &shape)
-                .with_counter_sampler(Box::new(BackendSampler::new(
-                    SimBackend::new(),
-                    EventSet::reduced(),
-                )));
+        let runtime = ActorRuntime::new(Box::new(StaticController::os_default()), &shape)
+            .with_counter_sampler(Box::new(BackendSampler::new(
+                SimBackend::new(),
+                EventSet::reduced(),
+            )));
         drive(&runtime, PhaseId::new(9), &shape, &[5, 5]);
         assert_eq!(runtime.decision_for(PhaseId::new(9)).unwrap().num_threads(), 4);
     }
 
+    /// A backend whose every window reads the same counters.
+    struct ConstantBackend(CounterVector);
+
+    impl CounterBackend for ConstantBackend {
+        fn read(&mut self) -> CounterVector {
+            self.0.clone()
+        }
+    }
+
+    /// Runs the OS default (the sampling configuration) and records every
+    /// sample the loop feeds it.
+    struct Recorder(Arc<Mutex<Vec<PhaseSample>>>);
+
+    impl PowerPerfController for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+
+        fn observe(&mut self, _phase: PhaseId, sample: &PhaseSample) {
+            self.0.lock().push(sample.clone());
+        }
+
+        fn decide(&mut self, ctx: &crate::controller::DecisionCtx<'_>) -> crate::Decision {
+            StaticController::os_default().decide(ctx)
+        }
+    }
+
     #[test]
-    fn throttle_mode_debug_names_the_controller() {
-        let mode = ThrottleMode::Controller(Box::new(StaticController::os_default()));
-        assert!(format!("{mode:?}").contains("os-default"));
-        let runtime = ActorRuntime::new(mode);
+    fn non_finite_counter_windows_reach_the_controller_as_measurements() {
+        let mut cv = CounterVector::zero();
+        cv.set(HwEvent::Cycles, 1000.0);
+        cv.set(HwEvent::Instructions, f64::NAN);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let shape = MachineShape::quad_core();
+        let runtime =
+            ActorRuntime::new(Box::new(Recorder(seen.clone())), &shape).with_counter_sampler(
+                Box::new(BackendSampler::new(ConstantBackend(cv), EventSet::reduced())),
+            );
+        drive(&runtime, PhaseId::new(0), &shape, &[5]);
+        let seen = seen.lock();
+        assert_eq!(
+            seen.as_slice(),
+            [PhaseSample::measurement(Configuration::SAMPLE, 0.005)],
+            "a NaN window on the sampling configuration is a plain measurement"
+        );
+    }
+
+    #[test]
+    fn runtime_debug_names_the_controller() {
+        let runtime =
+            ActorRuntime::new(Box::new(StaticController::os_default()), &MachineShape::quad_core());
+        assert!(format!("{runtime:?}").contains("os-default"));
         assert!(runtime.decisions().is_empty());
     }
 }

@@ -23,15 +23,18 @@ pub struct EventRates {
 impl EventRates {
     /// Builds the feature vector from raw counter totals and the monitored
     /// event set. Returns `None` when no cycles were recorded (nothing was
-    /// sampled).
+    /// sampled) and when the counters are not usable: a non-finite cycle
+    /// count, or any non-finite feature (counters come from outside, and a
+    /// NaN feature must never reach a predictor).
     pub fn from_counters(counters: &CounterVector, events: &EventSet) -> Option<Self> {
         let cycles = counters.get(HwEvent::Cycles);
-        if cycles <= 0.0 {
+        if !(cycles.is_finite() && cycles > 0.0) {
             return None;
         }
         let ipc = counters.get(HwEvent::Instructions) / cycles;
-        let rates = events.events().iter().map(|&e| (e, counters.get(e) / cycles)).collect();
-        Some(Self { ipc, rates })
+        let rates: Vec<(HwEvent, f64)> =
+            events.events().iter().map(|&e| (e, counters.get(e) / cycles)).collect();
+        (ipc.is_finite() && rates.iter().all(|(_, r)| r.is_finite())).then_some(Self { ipc, rates })
     }
 
     /// IPC observed on the sampling configuration.
@@ -109,6 +112,22 @@ mod tests {
     fn no_cycles_means_no_features() {
         let set = EventSet::full();
         assert!(EventRates::from_counters(&CounterVector::zero(), &set).is_none());
+    }
+
+    #[test]
+    fn non_finite_counters_mean_no_features() {
+        for (event, value) in [
+            (HwEvent::Cycles, f64::NAN),
+            (HwEvent::Cycles, f64::INFINITY),
+            (HwEvent::Instructions, f64::NAN),
+        ] {
+            let mut cv = counters();
+            cv.set(event, value);
+            assert!(
+                EventRates::from_counters(&cv, &EventSet::full()).is_none(),
+                "{event:?} = {value} must not yield features"
+            );
+        }
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Live adaptation demo: a real conjugate-gradient solver running on the
-//! `phase-rt` runtime, throttled by the ACTOR runtime — first in
-//! empirical-search mode (the model-free strategy of the authors' earlier
-//! work, ideal when no trained model is available for the host machine),
-//! then through the live controller loop (`ThrottleMode::Controller`),
-//! where the same search strategy runs as a [`PowerPerfController`] behind
-//! the shared control plane — the exact abstraction the Figure-8 harness
-//! and the cluster scheduler drive.
+//! `phase-rt` runtime, throttled by the ACTOR runtime's controller loop. The
+//! controller is the model-free empirical search (the strategy of the
+//! authors' earlier work, ideal when no trained model is available for the
+//! host machine), running as a [`PowerPerfController`] behind the shared
+//! control plane — the exact abstraction the Figure-8 harness and the
+//! cluster scheduler drive.
 //!
-//! The runtime explores every candidate binding once per phase, measures it,
+//! The search explores every configuration once per phase, measures it,
 //! locks the fastest, and all later iterations of that phase use the locked
 //! binding — while the solver's numerical result stays bit-identical.
 //!
@@ -45,45 +44,26 @@ fn main() {
         );
     }
 
-    // Adaptive run: ACTOR's live runtime explores, then locks per-phase
-    // bindings.
-    let runtime = Arc::new(ActorRuntime::search_over_standard_configs(&shape));
+    // Adaptive run: the live controller loop. Any PowerPerfController
+    // drives the kernel through the shared control plane; here the
+    // model-free joint search explores, then locks per-phase bindings.
+    let controller: Box<dyn PowerPerfController + Send> =
+        Box::new(JointSearchController::default());
+    let runtime = Arc::new(ActorRuntime::new(controller, &shape));
     team.set_listener(runtime.clone());
     let start = Instant::now();
     let result = solver.run(&team, &Binding::packed(4, &shape));
+    team.clear_listener();
     println!(
-        "\nadaptive (empirical search): {:>7.1?}  (residual {:.2e}, {} iterations)",
+        "\nadaptive (controller loop): {:>7.1?}  (residual {:.2e}, {} iterations)",
         start.elapsed(),
         result.residual_norm,
         result.iterations
     );
-
-    println!("\nlocked per-phase decisions:");
+    println!("per-phase decisions:");
     for (phase, binding) in runtime.decisions() {
         println!("  {phase}: {} thread(s) on cores {:?}", binding.num_threads(), binding.cores());
     }
-    team.clear_listener();
-
-    // The same closed loop through the control plane: any
-    // PowerPerfController — here the model-free joint search — drives the
-    // live kernel via ThrottleMode::Controller.
-    let controller: Box<dyn PowerPerfController + Send> =
-        Box::new(JointSearchController::default());
-    let live = Arc::new(ActorRuntime::controller_driven(controller, &shape));
-    team.set_listener(live.clone());
-    let start = Instant::now();
-    let result = solver.run(&team, &Binding::packed(4, &shape));
-    println!(
-        "\nadaptive (controller loop):  {:>7.1?}  (residual {:.2e}, {} iterations)",
-        start.elapsed(),
-        result.residual_norm,
-        result.iterations
-    );
-    println!("live controller decisions:");
-    for (phase, binding) in live.decisions() {
-        println!("  {phase}: {} thread(s) on cores {:?}", binding.num_threads(), binding.cores());
-    }
-    team.clear_listener();
 
     println!("\nper-phase runtime statistics:");
     let mut stats: Vec<_> = team.stats().snapshot().into_iter().collect();

@@ -3,22 +3,22 @@
 //! * the refactored, `ControlPlane`-backed cluster policies schedule
 //!   byte-identically to the pre-refactor inline observe → decide loop
 //!   (for both `power-aware` and `power-aware-dvfs`, JSON included);
-//! * `ThrottleMode::Search`'s locked decisions coincide with the
-//!   `EmpiricalSearchController` run through the live controller loop —
-//!   the two paths are one strategy behind one abstraction;
-//! * the live `ThrottleMode::Controller` loop drives real `phase-rt`
-//!   kernels end to end (via the `ExperimentBuilder` facade) without
-//!   changing their numerics.
+//! * the live controller loop's one empirical search
+//!   (`JointSearchController`) is pinned by its literal binding trace, and a
+//!   fixed phase → binding plan is a `DecisionTableController` in that loop;
+//! * the live `ActorRuntime` loop drives real `phase-rt` kernels end to end
+//!   (via the `ExperimentBuilder` facade) without changing their numerics.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
 use actor_suite::actor::controller::{
-    validate_decision, CandidatePerf, DecisionCtx, DecisionTableController, DvfsSpace,
-    EmpiricalSearchController, PowerPerfController,
+    binding_for, validate_decision, CandidatePerf, DecisionCtx, DecisionTableController, DvfsSpace,
+    JointSearchController, PowerPerfController,
 };
-use actor_suite::actor::runtime::{ActorRuntime, ThrottleMode};
+use actor_suite::actor::runtime::ActorRuntime;
+use actor_suite::actor::throttle::select_configuration;
 use actor_suite::actor::{ActorConfig, NullReporter};
 use actor_suite::cluster::{
     budget_from_fraction, policy_by_name, simulate, Assignment, ClusterSpec, FaultSpec, FleetModel,
@@ -26,7 +26,7 @@ use actor_suite::cluster::{
 };
 use actor_suite::prelude::{ControllerSpec, ExperimentBuilder};
 use actor_suite::rt::{Binding, MachineShape, PhaseId, RegionEvent, RegionListener, Team};
-use actor_suite::sim::Machine;
+use actor_suite::sim::{Configuration, Machine};
 use actor_suite::workloads::kernels::ConjugateGradient;
 use actor_suite::workloads::BenchmarkId;
 
@@ -172,56 +172,53 @@ fn drive(runtime: &ActorRuntime, phase: PhaseId, shape: &MachineShape, ms: &[u64
 
 #[test]
 fn search_mode_and_live_empirical_controller_are_one_strategy() {
-    // ThrottleMode::Search's behavior is pinned across the refactor: for
-    // the same measured durations it explores the standard candidates in
-    // order and locks the fastest — and the EmpiricalSearchController run
-    // through ThrottleMode::Controller produces the *same* binding trace,
-    // because they are the same strategy behind one abstraction.
+    // The live loop's one empirical search, pinned literally: for these
+    // measured durations JointSearchController explores 1, 2a, 2b, 3 and 4
+    // in order, then holds 2b (the 10 ms measurement).
     let shape = MachineShape::quad_core();
     let phase = PhaseId::new(5);
-    let durations = [50u64, 40, 10, 30, 20, 25, 25, 25];
+    let live = ActorRuntime::new(Box::new(JointSearchController::default()), &shape);
+    let trace = drive(&live, phase, &shape, &[50, 40, 10, 30, 20, 25, 25, 25]);
 
-    let search = ActorRuntime::search_over_standard_configs(&shape);
-    let search_trace = drive(&search, phase, &shape, &durations);
-
-    let live =
-        ActorRuntime::controller_driven(Box::new(EmpiricalSearchController::default()), &shape);
-    let live_trace = drive(&live, phase, &shape, &durations);
-
-    assert_eq!(search_trace, live_trace, "one strategy, two paths, one trace");
-    assert_eq!(
-        search.decision_for(phase),
-        live.decision_for(phase),
-        "both paths lock the same (fastest) binding"
-    );
-    // The scripted trace also pins the documented Search semantics:
-    // exploration in candidate order, then the fastest locked.
-    assert_eq!(search_trace[0].num_threads(), 1);
-    assert_eq!(search_trace[4].num_threads(), 4);
-    assert_eq!(search.decision_for(phase).unwrap(), search_trace[2], "third candidate was fastest");
+    let two_loose = Binding::spread(2, &shape);
+    let explored = [
+        Binding::packed(1, &shape),
+        Binding::packed(2, &shape),
+        two_loose.clone(),
+        Binding::spread(3, &shape),
+        Binding::packed(4, &shape),
+    ];
+    let held = [two_loose.clone(), two_loose.clone(), two_loose.clone()];
+    assert_eq!(trace, [explored.as_slice(), held.as_slice()].concat());
+    assert_eq!(live.decision_for(phase), Some(two_loose));
 }
 
 #[test]
-fn fixed_mode_behavior_is_pinned_across_the_refactor() {
+fn fixed_plan_is_a_decision_table_in_the_live_loop() {
+    // A fixed phase → configuration plan is a DecisionTableController:
+    // planned phases run their planned binding, observations never move it,
+    // and an unplanned phase runs the sampling configuration (all cores).
     let shape = MachineShape::quad_core();
-    let mut plan = std::collections::HashMap::new();
-    plan.insert(PhaseId::new(1), Binding::packed(1, &shape));
-    plan.insert(PhaseId::new(2), Binding::spread(2, &shape));
-    let runtime = ActorRuntime::new(ThrottleMode::Fixed { plan: plan.clone() });
+    let plan = [(PhaseId::new(1), Configuration::One), (PhaseId::new(2), Configuration::TwoLoose)];
+    let table = DecisionTableController::new(
+        plan.map(|(phase, config)| (phase, select_configuration(1.0, &[(config, 2.0)]))),
+    );
+    let runtime = ActorRuntime::new(Box::new(table), &shape);
     let requested = Binding::packed(4, &shape);
-    for (phase, binding) in &plan {
-        assert_eq!(runtime.before_region(*phase, &requested, 0).as_ref(), Some(binding));
-        // after_region is a no-op in fixed mode; decisions never change.
+    for (phase, config) in plan {
+        let binding = binding_for(config, &shape);
+        assert_eq!(runtime.before_region(phase, &requested, 0).as_ref(), Some(&binding));
         runtime.after_region(&RegionEvent {
-            phase: *phase,
+            phase,
             binding: binding.clone(),
             duration: Duration::from_millis(1),
             instance: 0,
         });
-        assert_eq!(runtime.decision_for(*phase).as_ref(), Some(binding));
+        assert_eq!(runtime.decision_for(phase).as_ref(), Some(&binding));
+        assert_eq!(runtime.before_region(phase, &requested, 1).as_ref(), Some(&binding));
     }
-    assert!(runtime.before_region(PhaseId::new(9), &requested, 0).is_none());
     assert_eq!(runtime.decisions().len(), plan.len());
+    assert_eq!(runtime.before_region(PhaseId::new(9), &requested, 0), Some(requested));
 }
 
 #[test]

@@ -2,11 +2,13 @@
 //! runtime, throttled by the ACTOR runtime, with numerics unchanged by
 //! throttling decisions.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use actor_suite::actor::runtime::{ActorRuntime, ThrottleMode};
+use actor_suite::actor::controller::{DecisionTableController, JointSearchController};
+use actor_suite::actor::runtime::ActorRuntime;
+use actor_suite::actor::throttle::select_configuration;
 use actor_suite::rt::{Binding, PhaseId, Team};
+use actor_suite::sim::Configuration;
 use actor_suite::workloads::kernels::{
     BatchFft, ConjugateGradient, IntegerSort, LineSweepStencil, Multigrid,
 };
@@ -20,8 +22,11 @@ fn search_runtime_locks_decisions_and_preserves_cg_numerics() {
     // Reference solution without any listener.
     let reference = solver.run(&team, &Binding::packed(4, &shape));
 
-    // Adaptive run with the empirical-search runtime attached.
-    let runtime = Arc::new(ActorRuntime::search_over_standard_configs(&shape));
+    // Adaptive run with the empirical search driving the live loop.
+    let spmv = actor_suite::workloads::kernels::cg::phases::SPMV;
+    let spmv_runs = || team.stats().phase(spmv).map_or(0, |s| s.executions);
+    let before = spmv_runs();
+    let runtime = Arc::new(ActorRuntime::new(Box::new(JointSearchController::default()), &shape));
     team.set_listener(runtime.clone());
     let adaptive = solver.run(&team, &Binding::packed(4, &shape));
     team.clear_listener();
@@ -35,14 +40,11 @@ fn search_runtime_locks_decisions_and_preserves_cg_numerics() {
         .fold(0.0f64, f64::max);
     assert!(max_diff < 1e-9, "throttling must not change the solution (diff {max_diff})");
 
-    // CG runs enough phase instances to finish the exploration of all five
-    // candidates for at least the SpMV phase.
-    let decisions = runtime.decisions();
-    assert!(
-        !decisions.is_empty(),
-        "the search runtime should have locked at least one phase decision"
-    );
-    for (_, binding) in &decisions {
+    // CG runs enough SpMV instances to finish the exploration of all five
+    // candidates, after which the search holds its lock.
+    assert!(spmv_runs() - before > 5, "SpMV must run past the five explorations");
+    assert!(runtime.decision_for(spmv).is_some());
+    for (_, binding) in runtime.decisions() {
         assert!(binding.num_threads() >= 1 && binding.num_threads() <= 4);
     }
 }
@@ -52,11 +54,14 @@ fn fixed_plan_throttles_only_the_planned_phases() {
     let team = Team::new(4).unwrap();
     let shape = *team.shape();
 
-    // Force the multigrid smoothing phase onto one thread, leave the rest.
-    let mut plan = HashMap::new();
-    plan.insert(actor_suite::workloads::kernels::mg::phases::SMOOTH, Binding::packed(1, &shape));
-    let runtime = Arc::new(ActorRuntime::new(ThrottleMode::Fixed { plan }));
-    team.set_listener(runtime);
+    // Force the multigrid smoothing phase onto one thread; unplanned phases
+    // run the table's fallback, the sampling configuration on all four cores.
+    let one_thread = select_configuration(1.0, &[(Configuration::One, 2.0)]);
+    let table = DecisionTableController::new([(
+        actor_suite::workloads::kernels::mg::phases::SMOOTH,
+        one_thread,
+    )]);
+    team.set_listener(Arc::new(ActorRuntime::new(Box::new(table), &shape)));
 
     let mg = Multigrid::new(16);
     let norms = mg.run(&team, &Binding::packed(4, &shape), 2);
