@@ -20,7 +20,7 @@ use crate::error::AnnError;
 use crate::metrics;
 use crate::network::Mlp;
 use crate::scaler::StandardScaler;
-use crate::train::{TrainConfig, Trainer};
+use crate::train::{TrainConfig, Trainer, Workspace};
 
 /// Configuration of an ensemble training run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -129,6 +129,11 @@ impl CrossValEnsemble {
         let trainer = Trainer::new(config.train.clone())?;
         let mut members = Vec::with_capacity(config.folds);
         let mut fold_reports = Vec::with_capacity(config.folds);
+        // One set of kernel buffers trains and scores every member.
+        let mut ws = Workspace::default();
+        let out_dim = scaled.output_dim();
+        let (mut y_orig, mut t_orig) = (vec![0.0; out_dim], vec![0.0; out_dim]);
+        let (mut preds, mut obs) = (Vec::new(), Vec::new());
 
         for member in 0..config.folds {
             let test_fold = member;
@@ -142,23 +147,17 @@ impl CrossValEnsemble {
             let stop_set = scaled.subset(&folds[stop_fold])?;
             let test_set = scaled.subset(&folds[test_fold])?;
 
-            let mut net = Mlp::sigmoid_regressor(
-                scaled.input_dim(),
-                &config.hidden,
-                scaled.output_dim(),
-                rng,
-            )?;
-            let report = trainer.train(&mut net, &train_set, &stop_set, rng)?;
+            let mut net = Mlp::sigmoid_regressor(scaled.input_dim(), &config.hidden, out_dim, rng)?;
+            let report = trainer.train_in(&mut ws, &mut net, &train_set, &stop_set, rng)?;
 
             // Held-out error estimates for this member.
-            let test_mse = crate::train::mse(&net, &test_set)?;
-            let mut preds = Vec::new();
-            let mut obs = Vec::new();
+            let test_mse = ws.mse(&net, &test_set)?;
+            preds.clear();
+            obs.clear();
             for i in 0..test_set.len() {
                 let (x, t) = test_set.sample(i);
-                let y = net.predict(x)?;
-                let y_orig = target_scaler.inverse(&y)?;
-                let t_orig = target_scaler.inverse(t)?;
+                target_scaler.inverse_into(ws.forward(&net, x)?, &mut y_orig)?;
+                target_scaler.inverse_into(t, &mut t_orig)?;
                 preds.push(y_orig[0]);
                 obs.push(t_orig[0]);
             }
@@ -303,7 +302,10 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn quadratic_dataset(n: usize, seed: u64) -> Dataset {
-        let mut rng = StdRng::seed_from_u64(seed);
+        quadratic_dataset_from(n, &mut StdRng::seed_from_u64(seed))
+    }
+
+    fn quadratic_dataset_from(n: usize, rng: &mut StdRng) -> Dataset {
         let xs: Vec<Vec<f64>> = (0..n)
             .map(|_| {
                 vec![rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)]
@@ -424,6 +426,38 @@ mod tests {
         assert_eq!(flat.len(), 2);
         assert_eq!(flat[0].to_bits(), ensemble.predict(&probes[0]).unwrap()[0].to_bits());
         assert!(ensemble.predict_batch(&[vec![1.0]]).is_err());
+    }
+
+    /// Pins the bits of a two-hidden-layer ensemble (weight decay on, mixed
+    /// early-stopped and full-length members), so any change to the
+    /// training arithmetic or to the random draws shows up here.
+    #[test]
+    fn golden_ensemble_bits_are_pinned() {
+        let mut rng = StdRng::seed_from_u64(2007);
+        let data = quadratic_dataset_from(90, &mut rng);
+        let config = EnsembleConfig {
+            folds: 5,
+            hidden: vec![6, 4],
+            train: TrainConfig { max_epochs: 60, patience: 8, ..Default::default() },
+        };
+        let ensemble = CrossValEnsemble::train(&data, &config, &mut rng).unwrap();
+        let pred = ensemble.predict(&[0.25, -0.5, 0.75]).unwrap()[0];
+        assert_eq!(pred.to_bits(), 0x3ff9_ba12_5983_ceac, "prediction {pred}");
+        let epochs: Vec<usize> = ensemble.fold_reports().iter().map(|r| r.epochs_run).collect();
+        assert_eq!(epochs, [60, 60, 9, 59, 17]);
+        let test_mse: Vec<u64> =
+            ensemble.fold_reports().iter().map(|r| r.test_mse.to_bits()).collect();
+        assert_eq!(
+            test_mse,
+            [
+                0x3fb2_f511_10fa_56c9,
+                0x3fc0_8b25_7ae8_7734,
+                0x3ff1_2f52_65be_f6b9,
+                0x3fbd_9478_d13c_8164,
+                0x3ff3_c71e_a00a_3a24
+            ]
+        );
+        assert_eq!(rng.gen::<u64>(), 0xc5c1_40cb_5316_ef20, "the draw count moved");
     }
 
     #[test]

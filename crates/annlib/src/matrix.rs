@@ -77,28 +77,20 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix-vector product `self * x`.
-    #[allow(clippy::needless_range_loop)] // indexing several buffers by one row index
-    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>, AnnError> {
-        if x.len() != self.cols {
-            return Err(AnnError::DimensionMismatch { expected: self.cols, actual: x.len() });
-        }
-        let mut out = vec![0.0; self.rows];
-        for r in 0..self.rows {
-            let row = self.row(r);
-            let mut acc = 0.0;
-            for (w, xi) in row.iter().zip(x) {
-                acc += w * xi;
-            }
-            out[r] = acc;
-        }
-        Ok(out)
+    /// The row-major elements (`rows × cols`).
+    pub(crate) fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// Mutable row-major elements; the training kernel updates weights and
+    /// velocities through this in one fused pass.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
     }
 
     /// Matrix-vector product `self * x` written into a caller-supplied
-    /// buffer — the allocation-free core of [`Matrix::matvec`], with
-    /// bit-identical accumulation order (the batched forward pass relies on
-    /// that identity).
+    /// buffer. Each output accumulates its row's products left to right; the
+    /// per-sample and batched forward passes both rely on that order.
     #[inline]
     pub fn matvec_into(&self, x: &[f64], out: &mut [f64]) -> Result<(), AnnError> {
         if x.len() != self.cols {
@@ -120,8 +112,8 @@ impl Matrix {
     /// Row-batched product: treats `inputs` as a row-major `n × cols` block
     /// and writes `self * inputs[i]` into the `i`-th row of `out`
     /// (`n × rows`, row-major). One GEMM-shaped loop, no per-sample
-    /// allocation; each output row is bit-identical to [`Matrix::matvec`] on
-    /// the matching input row.
+    /// allocation; each output row is bit-identical to [`Matrix::matvec_into`]
+    /// on the matching input row.
     pub fn matvec_rows_into(
         &self,
         inputs: &[f64],
@@ -144,67 +136,6 @@ impl Matrix {
         }
         for (x, o) in inputs.chunks_exact(self.cols).zip(out.chunks_exact_mut(self.rows)) {
             self.matvec_into(x, o)?;
-        }
-        Ok(())
-    }
-
-    /// Transposed matrix-vector product `selfᵀ * x` (used to backpropagate
-    /// deltas without materialising the transpose).
-    #[allow(clippy::needless_range_loop)] // indexing several buffers by one row index
-    pub fn matvec_transposed(&self, x: &[f64]) -> Result<Vec<f64>, AnnError> {
-        if x.len() != self.rows {
-            return Err(AnnError::DimensionMismatch { expected: self.rows, actual: x.len() });
-        }
-        let mut out = vec![0.0; self.cols];
-        for r in 0..self.rows {
-            let row = self.row(r);
-            let xr = x[r];
-            for (o, w) in out.iter_mut().zip(row) {
-                *o += w * xr;
-            }
-        }
-        Ok(out)
-    }
-
-    /// In-place `self += alpha * other`, requiring identical shapes.
-    pub fn axpy(&mut self, alpha: f64, other: &Matrix) -> Result<(), AnnError> {
-        if self.rows != other.rows || self.cols != other.cols {
-            return Err(AnnError::LengthMismatch {
-                what: "matrix shapes in axpy",
-                expected: self.rows * self.cols,
-                actual: other.rows * other.cols,
-            });
-        }
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-        Ok(())
-    }
-
-    /// In-place scaling by a constant.
-    pub fn scale(&mut self, factor: f64) {
-        for v in &mut self.data {
-            *v *= factor;
-        }
-    }
-
-    /// Rank-1 update: `self += alpha * col ⊗ row` where `col` has `rows`
-    /// entries and `row` has `cols` entries. This is the outer-product form
-    /// of the backpropagation weight gradient.
-    #[allow(clippy::needless_range_loop)] // indexing several buffers by one row index
-    pub fn rank1_update(&mut self, alpha: f64, col: &[f64], row: &[f64]) -> Result<(), AnnError> {
-        if col.len() != self.rows {
-            return Err(AnnError::DimensionMismatch { expected: self.rows, actual: col.len() });
-        }
-        if row.len() != self.cols {
-            return Err(AnnError::DimensionMismatch { expected: self.cols, actual: row.len() });
-        }
-        for r in 0..self.rows {
-            let a = alpha * col[r];
-            let dst = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            for (d, x) in dst.iter_mut().zip(row) {
-                *d += a * x;
-            }
         }
         Ok(())
     }
@@ -277,31 +208,11 @@ mod tests {
     #[test]
     fn matvec_products() {
         let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        let y = m.matvec(&[1.0, 1.0, 1.0]).unwrap();
-        assert_eq!(y, vec![6.0, 15.0]);
-        assert!(m.matvec(&[1.0]).is_err());
-
-        let yt = m.matvec_transposed(&[1.0, 1.0]).unwrap();
-        assert_eq!(yt, vec![5.0, 7.0, 9.0]);
-        assert!(m.matvec_transposed(&[1.0, 2.0, 3.0]).is_err());
-    }
-
-    #[test]
-    fn axpy_scale_rank1() {
-        let mut a = Matrix::zeros(2, 2);
-        let b = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        a.axpy(2.0, &b).unwrap();
-        assert_eq!(a.get(1, 1), 8.0);
-        a.scale(0.5);
-        assert_eq!(a.get(1, 1), 4.0);
-        assert!(a.axpy(1.0, &Matrix::zeros(3, 3)).is_err());
-
-        let mut m = Matrix::zeros(2, 3);
-        m.rank1_update(1.0, &[1.0, 2.0], &[1.0, 0.0, -1.0]).unwrap();
-        assert_eq!(m.get(0, 0), 1.0);
-        assert_eq!(m.get(1, 2), -2.0);
-        assert!(m.rank1_update(1.0, &[1.0], &[1.0, 0.0, -1.0]).is_err());
-        assert!(m.rank1_update(1.0, &[1.0, 2.0], &[1.0]).is_err());
+        let mut y = [0.0; 2];
+        m.matvec_into(&[1.0, 1.0, 1.0], &mut y).unwrap();
+        assert_eq!(y, [6.0, 15.0]);
+        assert!(m.matvec_into(&[1.0], &mut y).is_err());
+        assert!(m.matvec_into(&[1.0, 1.0, 1.0], &mut [0.0; 3]).is_err());
     }
 
     #[test]
@@ -326,32 +237,18 @@ mod tests {
             let m = Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0..1.0));
             let x: Vec<f64> = (0..cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let y: Vec<f64> = (0..cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let matvec = |v: &[f64]| {
+                let mut out = vec![0.0; rows];
+                m.matvec_into(v, &mut out).unwrap();
+                out
+            };
             // m(alpha*x + y) == alpha*m(x) + m(y)
             let lhs_input: Vec<f64> = x.iter().zip(&y).map(|(a, b)| alpha * a + b).collect();
-            let lhs = m.matvec(&lhs_input).unwrap();
-            let mx = m.matvec(&x).unwrap();
-            let my = m.matvec(&y).unwrap();
+            let lhs = matvec(&lhs_input);
+            let mx = matvec(&x);
+            let my = matvec(&y);
             for i in 0..rows {
                 prop_assert!((lhs[i] - (alpha * mx[i] + my[i])).abs() < 1e-9);
-            }
-        }
-
-        #[test]
-        fn transpose_product_consistent_with_explicit_transpose(
-            rows in 1usize..5,
-            cols in 1usize..5,
-            seed in 0u64..1000,
-        ) {
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let m = Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0..1.0));
-            let x: Vec<f64> = (0..rows).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let yt = m.matvec_transposed(&x).unwrap();
-            // explicit transpose
-            let t = Matrix::from_fn(cols, rows, |r, c| m.get(c, r));
-            let expected = t.matvec(&x).unwrap();
-            for i in 0..cols {
-                prop_assert!((yt[i] - expected[i]).abs() < 1e-9);
             }
         }
     }

@@ -50,18 +50,8 @@ impl Layer {
         self.weights.rows()
     }
 
-    /// Applies the layer to an input vector, returning the activated output.
-    pub fn forward(&self, input: &[f64]) -> Result<Vec<f64>, AnnError> {
-        let mut out = self.weights.matvec(input)?;
-        for (o, b) in out.iter_mut().zip(&self.biases) {
-            *o += b;
-            *o = self.activation.apply(*o);
-        }
-        Ok(out)
-    }
-
-    /// [`Layer::forward`] into a caller-supplied buffer (no allocation,
-    /// bit-identical arithmetic).
+    /// Applies the layer to `input`, writing the activated output into a
+    /// caller-supplied buffer (no allocation).
     pub fn forward_into(&self, input: &[f64], out: &mut [f64]) -> Result<(), AnnError> {
         self.weights.matvec_into(input, out)?;
         for (o, b) in out.iter_mut().zip(&self.biases) {
@@ -74,7 +64,7 @@ impl Layer {
     /// Applies the layer to a row-major `n × inputs` block, writing the
     /// activated `n × outputs` block — one GEMM-shaped loop instead of `n`
     /// separate calls, with each output row bit-identical to
-    /// [`Layer::forward`] on the matching input row.
+    /// [`Layer::forward_into`] on the matching input row.
     pub fn forward_rows_into(
         &self,
         inputs: &[f64],
@@ -89,21 +79,6 @@ impl Layer {
             }
         }
         Ok(())
-    }
-}
-
-/// Intermediate activations of one forward pass, consumed by backpropagation.
-#[derive(Debug, Clone)]
-pub struct ForwardTrace {
-    /// `activations[0]` is the input; `activations[i+1]` is the output of
-    /// layer `i`.
-    pub activations: Vec<Vec<f64>>,
-}
-
-impl ForwardTrace {
-    /// The network output of this pass.
-    pub fn output(&self) -> &[f64] {
-        self.activations.last().expect("trace always has at least the input")
     }
 }
 
@@ -181,27 +156,25 @@ impl Mlp {
         self.layers.iter().map(|l| l.weights.rows() * l.weights.cols() + l.biases.len()).sum()
     }
 
-    /// Runs a forward pass and returns only the output.
+    /// Runs a forward pass and returns the output.
     pub fn predict(&self, input: &[f64]) -> Result<Vec<f64>, AnnError> {
-        let mut trace = self.forward_trace(input)?;
-        Ok(trace.activations.pop().expect("forward trace always contains the output"))
+        let mut out = Vec::new();
+        for (i, layer) in self.layers.iter().enumerate() {
+            let mut next = vec![0.0; layer.outputs()];
+            layer.forward_into(if i == 0 { input } else { &out }, &mut next)?;
+            out = next;
+        }
+        Ok(out)
     }
 
-    /// Runs a forward pass keeping every intermediate activation.
-    pub fn forward_trace(&self, input: &[f64]) -> Result<ForwardTrace, AnnError> {
-        if input.len() != self.input_dim() {
-            return Err(AnnError::DimensionMismatch {
-                expected: self.input_dim(),
-                actual: input.len(),
-            });
+    /// Overwrites this network's weights and biases with `other`'s in place,
+    /// without allocating. Both networks must have the same shape.
+    pub(crate) fn copy_params_from(&mut self, other: &Mlp) {
+        debug_assert_eq!(self.layers.len(), other.layers.len());
+        for (dst, src) in self.layers.iter_mut().zip(&other.layers) {
+            dst.weights.as_mut_slice().copy_from_slice(src.weights.as_slice());
+            dst.biases.copy_from_slice(&src.biases);
         }
-        let mut activations = Vec::with_capacity(self.layers.len() + 1);
-        activations.push(input.to_vec());
-        for layer in &self.layers {
-            let next = layer.forward(activations.last().expect("non-empty"))?;
-            activations.push(next);
-        }
-        Ok(ForwardTrace { activations })
     }
 
     /// Widest activation block any layer of a batched pass needs, per sample.
@@ -309,17 +282,15 @@ mod tests {
         let out = net.predict(&[0.1, 0.2, 0.3]).unwrap();
         assert_eq!(out.len(), 2);
         assert!(net.predict(&[0.1]).is_err());
-        let trace = net.forward_trace(&[0.1, 0.2, 0.3]).unwrap();
-        assert_eq!(trace.activations.len(), 4); // input + 3 layers
-        assert_eq!(trace.output().len(), 2);
     }
 
     #[test]
     fn hidden_activations_bounded_by_sigmoid() {
         let mut r = rng();
         let net = Mlp::sigmoid_regressor(2, &[6], 1, &mut r).unwrap();
-        let trace = net.forward_trace(&[100.0, -100.0]).unwrap();
-        for &h in &trace.activations[1] {
+        let mut hidden = [0.0; 6];
+        net.layers()[0].forward_into(&[100.0, -100.0], &mut hidden).unwrap();
+        for &h in &hidden {
             assert!((0.0..=1.0).contains(&h));
         }
     }
