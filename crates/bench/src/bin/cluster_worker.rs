@@ -5,7 +5,7 @@
 //! the ANN-trained workload model from the wire-carried `SweepContext`
 //! (heartbeating throughout, so training never reads as death), then
 //! executes `AssignCell`s until `Shutdown` — forwarding batched
-//! `TraceEvent`s ahead of each `CellResult`.
+//! `TraceEvent`s ahead of each `CellResult` when the daemon traces.
 //!
 //! Flags:
 //!
@@ -13,7 +13,7 @@
 //! * `--name NAME` — worker name reported in the handshake (default
 //!   `worker-<pid>`).
 //! * `--trace PATH` — also write this worker's span-stamped events to a
-//!   local JSONL file (they are forwarded to the daemon regardless). The
+//!   local JSONL file, whether or not the daemon traces. The
 //!   file survives the worker being SIGKILLed mid-cell, which is what
 //!   lets `trace_tool merge` reconstruct a timeline including events the
 //!   daemon never received.

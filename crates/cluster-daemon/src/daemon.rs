@@ -38,6 +38,9 @@ pub struct DaemonConfig {
     /// cell counters current in it, and any connection whose first frame is
     /// [`Message::MetricsRequest`] is served a
     /// [`MetricsRegistry::render_text`] snapshot instead of a handshake.
+    /// `trace_events_ingested` counts worker events only in traced sweeps
+    /// (a telemetry sink passed to [`serve`]): an untraced daemon tells its
+    /// workers not to forward any, so the counter stays 0.
     pub metrics: Option<Arc<MetricsRegistry>>,
 }
 
@@ -102,12 +105,13 @@ fn sweep_cell_event(outcome: &SweepCellOutcome) -> TraceEvent {
 
 /// Turns raw wires into handshaked connections feeding `events`: one
 /// handler thread per connection, exiting when its connection closes.
-/// Connections opening with [`Message::MetricsRequest`] are served a
-/// snapshot from `metrics` and closed without ever reaching the control
-/// loop.
+/// Every worker is told `trace` in its `HelloAck`. Connections opening
+/// with [`Message::MetricsRequest`] are served a snapshot from `metrics`
+/// and closed without ever reaching the control loop.
 fn spawn_acceptor(
     conns: Receiver<Box<dyn Wire>>,
     context: SweepContext,
+    trace: bool,
     events: Sender<Event>,
     metrics: Option<Arc<MetricsRegistry>>,
 ) {
@@ -132,7 +136,7 @@ fn spawn_acceptor(
                     }
                     None => None,
                 };
-                let name = match server_accept(&conn, &context, render_ref) {
+                let name = match server_accept(&conn, &context, trace, render_ref) {
                     Ok(Accepted::Worker(name)) => name,
                     Ok(Accepted::MetricsServed) | Err(_) => {
                         conn.shutdown();
@@ -233,6 +237,11 @@ fn drop_worker(
 /// callback, and the returned outcomes are index-sorted, so artefacts
 /// rendered from either are byte-identical.
 ///
+/// With a `telemetry` sink, every worker forwards its span-stamped events
+/// and the sink receives them beside the daemon's own. Without one, the
+/// handshake tells workers not to forward, so the sweep carries only
+/// assignments, results and heartbeats.
+///
 /// Failure semantics mirror `run_sweep_fleet`: a cell whose simulation
 /// fails (worker reported [`CellOutcome::Failed`]) is deterministic — never
 /// retried, sweep keeps running, lowest-index failure reported at the end.
@@ -253,7 +262,10 @@ pub fn serve(
     let started = Instant::now();
 
     let (event_tx, event_rx) = crossbeam::channel::unbounded();
-    spawn_acceptor(conns, config.context.clone(), event_tx, config.metrics.clone());
+    // Workers trace only when this daemon records: with no sink, every
+    // forwarded event would be serialised, shipped and parsed for nothing.
+    let trace = telemetry.is_some();
+    spawn_acceptor(conns, config.context.clone(), trace, event_tx, config.metrics.clone());
     let metrics = config.metrics.as_deref();
     if let Some(reg) = metrics {
         reg.set_gauge("cells_total", total as f64);

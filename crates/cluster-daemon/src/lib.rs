@@ -22,7 +22,8 @@
 //!   [`cluster_rpc::SweepContext`] (the fleet is deterministic in config,
 //!   benchmark list and machine mixes), then executes assigned cells through
 //!   [`cluster_sched::execute_cell`] — the *same* code path as in-process
-//!   sweeps — forwarding telemetry as batched `TraceBatch` frames.
+//!   sweeps — forwarding telemetry as batched `TraceBatch` frames when
+//!   the daemon has a sink to record it (the `HelloAck`'s `trace` flag).
 //! * [`run_distributed`] — the local process seam: binds a temporary Unix
 //!   socket, spawns N `cluster_worker` processes (CPU-pinned via `taskset`
 //!   when available, SIMPLEBENCH-style), serves the sweep, and reaps the

@@ -5,13 +5,18 @@
 //! the identical [`cluster_sched::ClusterReport`] no matter which side of
 //! the socket it runs on. The only worker-specific machinery is the
 //! heartbeat thread (started *before* model training, which takes seconds
-//! and must not read as death) and the telemetry pipeline: a
-//! [`SpanSink`] stamps every event with the wire-carried run id, the
-//! worker's name, a dense sequence, and the cell being executed, then a
-//! rebatching forward sink ships them to the daemon as `TraceBatch`
-//! frames (one frame per batch — never one frame per event).
+//! and must not read as death; it wakes at once when the worker stops)
+//! and the telemetry pipeline: a [`SpanSink`] stamps every event with the
+//! wire-carried run id, the worker's name, a dense sequence, and the cell
+//! being executed, then a rebatching forward sink ships them to the daemon
+//! as `TraceBatch` frames (one frame per batch — never one frame per
+//! event).
+//!
+//! The daemon's `HelloAck` says whether it records telemetry. Only then
+//! does the worker forward. A worker-local `--trace` sink is fed either
+//! way; with neither, the pipeline does not exist and cells run untraced,
+//! exactly as an in-process sweep's cells do.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -24,6 +29,7 @@ use cluster_rpc::{
 use cluster_sched::{
     execute_cell, mix_by_name, workload_shape_by_name, FleetModel, WorkloadSpec, MACHINE_MIX_NAMES,
 };
+use crossbeam::channel::RecvTimeoutError;
 use parking_lot::Mutex;
 
 use crate::error::WorkerError;
@@ -106,10 +112,10 @@ fn run_one_cell(
     workload: fn(usize) -> WorkloadSpec,
     max_node_w: f64,
     cell: &cluster_sched::SweepCell,
-    telemetry: &SharedSink,
+    telemetry: Option<&SharedSink>,
 ) -> CellOutcome {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        execute_cell(fleet, workload, max_node_w, cell, Some(telemetry))
+        execute_cell(fleet, workload, max_node_w, cell, telemetry)
     }));
     match result {
         Ok(Ok(report)) => CellOutcome::Completed(report),
@@ -147,14 +153,14 @@ fn fleet_from_context(ctx: &SweepContext) -> Result<Arc<FleetModel>, String> {
 /// The fleet is rebuilt from the handshake's [`SweepContext`] machine-mix
 /// names, so every worker trains the exact tables the daemon's in-process
 /// peer would use. `local` is an optional worker-side sink (e.g. a
-/// `--trace` JSONL file) that receives the same span-stamped events the
-/// daemon does.
+/// `--trace` JSONL file) that receives the span-stamped events the daemon
+/// does when it traces, and receives them all the same when it does not.
 pub fn run_worker_traced(
     wire: Box<dyn Wire>,
     name: &str,
     local: Option<SharedSink>,
 ) -> Result<(), WorkerError> {
-    run_worker_full(wire, name, local, fleet_from_context)
+    run_worker_with(wire, name, local, fleet_from_context)
 }
 
 /// [`run_worker_traced`] with an injectable fleet source — tests hand every
@@ -162,76 +168,84 @@ pub fn run_worker_traced(
 pub fn run_worker_with(
     wire: Box<dyn Wire>,
     name: &str,
-    fleet_builder: impl FnOnce(&SweepContext) -> Result<Arc<FleetModel>, String>,
-) -> Result<(), WorkerError> {
-    run_worker_full(wire, name, None, fleet_builder)
-}
-
-/// The worker protocol behind both entry points: injectable fleet source
-/// *and* optional local telemetry sink beside the daemon forwarder.
-fn run_worker_full(
-    wire: Box<dyn Wire>,
-    name: &str,
     local: Option<SharedSink>,
     fleet_builder: impl FnOnce(&SweepContext) -> Result<Arc<FleetModel>, String>,
 ) -> Result<(), WorkerError> {
     let conn = Arc::new(Connection::new(wire).map_err(RpcError::from)?);
-    let ctx = client_handshake(&conn, name)?;
+    let (ctx, trace) = client_handshake(&conn, name)?;
 
     // Heartbeats start before the (seconds-long) model build so training
-    // never reads as death at the daemon's liveness scan.
-    let stop = Arc::new(AtomicBool::new(false));
+    // never reads as death at the daemon's liveness scan. The thread waits
+    // on the stop channel rather than sleeping, so dropping `stop` ends it
+    // at once instead of up to one heartbeat period later.
+    let (stop, stopped) = crossbeam::channel::unbounded::<()>();
     let heartbeat = {
         let conn = Arc::clone(&conn);
-        let stop = Arc::clone(&stop);
         let period = Duration::from_millis(ctx.heartbeat_ms.max(1));
         std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                if conn.send(&Message::Heartbeat).is_err() {
+            while conn.send(&Message::Heartbeat).is_ok() {
+                if !matches!(stopped.recv_timeout(period), Err(RecvTimeoutError::Timeout)) {
                     break;
                 }
-                std::thread::sleep(period);
             }
         })
     };
 
-    let result = worker_loop(&conn, name, local, &ctx, fleet_builder);
+    let span = telemetry(&conn, name, ctx.run_id, trace, local);
+    let result = worker_loop(&conn, span, &ctx, fleet_builder);
 
-    stop.store(true, Ordering::Relaxed);
+    drop(stop);
     conn.shutdown();
     let _ = heartbeat.join();
     result
 }
 
-fn worker_loop(
+/// The worker's telemetry pipeline: a [`SpanSink`] (stamping run_id,
+/// worker, seq and cell) in front of the daemon forwarder when the daemon
+/// traces, the local sink when there is one, or both through a fan-out.
+/// With neither it is `None`, and cells run untraced: no event is built
+/// and no decide latency is timed, exactly as in an in-process sweep.
+fn telemetry(
     conn: &Arc<Connection>,
     name: &str,
+    run_id: u64,
+    trace: bool,
     local: Option<SharedSink>,
+) -> Option<Arc<SpanSink>> {
+    let forward = trace.then(|| Arc::new(TraceForwardSink::new(Arc::clone(conn))) as SharedSink);
+    let downstream: SharedSink = match (forward, local) {
+        (Some(forward), Some(local)) => Arc::new(FanoutSink::new(vec![forward, local])),
+        (Some(sink), None) | (None, Some(sink)) => sink,
+        (None, None) => return None,
+    };
+    Some(Arc::new(SpanSink::new(downstream, run_id, name)))
+}
+
+fn worker_loop(
+    conn: &Connection,
+    span: Option<Arc<SpanSink>>,
     ctx: &SweepContext,
     fleet_builder: impl FnOnce(&SweepContext) -> Result<Arc<FleetModel>, String>,
 ) -> Result<(), WorkerError> {
     let workload = workload_shape_by_name(&ctx.workload)
         .ok_or_else(|| WorkerError::UnknownShape { name: ctx.workload.clone() })?;
     let fleet = fleet_builder(ctx).map_err(|reason| WorkerError::Model { reason })?;
-    // Pipeline: SpanSink (stamps run_id/worker/seq/cell) → forwarder to
-    // the daemon, plus the optional local sink, both receiving the same
-    // stamped events.
-    let forward: SharedSink = Arc::new(TraceForwardSink::new(Arc::clone(conn)));
-    let downstream: SharedSink = match local {
-        Some(local_sink) => Arc::new(FanoutSink::new(vec![forward, local_sink])),
-        None => forward,
-    };
-    let span = Arc::new(SpanSink::new(downstream, ctx.run_id, name));
-    let telemetry: SharedSink = Arc::clone(&span) as SharedSink;
+    let telemetry = span.clone().map(|s| s as SharedSink);
     loop {
         match conn.recv()? {
             Message::AssignCell(cell) => {
-                span.set_cell(Some(cell.index as u64));
-                let outcome = run_one_cell(&fleet, workload, ctx.max_node_w, &cell, &telemetry);
-                span.set_cell(None);
-                // Trace frames precede the result: once the daemon sees
-                // the CellResult, the cell's telemetry is fully delivered.
-                telemetry.flush();
+                if let Some(span) = &span {
+                    span.set_cell(Some(cell.index as u64));
+                }
+                let outcome =
+                    run_one_cell(&fleet, workload, ctx.max_node_w, &cell, telemetry.as_ref());
+                if let Some(span) = &span {
+                    span.set_cell(None);
+                    // Trace frames precede the result: once the daemon sees
+                    // the CellResult, the cell's telemetry is fully
+                    // delivered.
+                    span.flush();
+                }
                 conn.send(&Message::CellResult { index: cell.index, outcome })?;
             }
             Message::Shutdown => return Ok(()),

@@ -1,22 +1,25 @@
 //! Daemon + worker integration over in-memory duplexes: completion parity
 //! with `run_sweep_fleet`, reassignment on worker death, stall and protocol
-//! violation, terminal simulation failures, and the no-worker timeout.
+//! violation, terminal simulation failures, the no-worker timeout, the
+//! handshake's trace gate and a prompt worker exit on shutdown.
 //!
 //! Every duplex worker gets the one prebuilt fleet via `run_worker_with` —
 //! the process-level path (which re-trains per worker) is covered by the
 //! bench crate's tests, where the worker binary exists.
 
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use actor_core::config::ActorConfig;
 use actor_core::telemetry::{MemorySink, MetricsRegistry, SharedSink, SpanSink, TraceEvent};
 use cluster_daemon::{run_worker_with, serve, DaemonConfig, DaemonError};
 use cluster_rpc::{
-    client_handshake, duplex, request_metrics, CellOutcome, Connection, Message, SweepContext, Wire,
+    client_handshake, duplex, request_metrics, server_handshake, CellOutcome, Connection, Message,
+    SweepContext, Wire,
 };
 use cluster_sched::{
-    quad_test_workload, run_sweep_fleet, FleetModel, SweepRun, SweepSpec, WorkloadModel,
+    quad_test_workload, run_sweep_fleet, ClusterReport, FleetModel, SweepRun, SweepSpec,
+    WorkloadModel,
 };
 use crossbeam::channel::{unbounded, Sender};
 use npb_workloads::BenchmarkId;
@@ -69,7 +72,44 @@ fn spawn_worker(
 ) -> std::thread::JoinHandle<Result<(), cluster_daemon::WorkerError>> {
     let (daemon_side, worker_side) = duplex();
     conns.send(Box::new(daemon_side)).map_err(|_| "conns channel closed").unwrap();
-    std::thread::spawn(move || run_worker_with(Box::new(worker_side), name, |_| Ok(fleet())))
+    std::thread::spawn(move || run_worker_with(Box::new(worker_side), name, None, |_| Ok(fleet())))
+}
+
+/// Plays the daemon by hand over one duplex: handshakes a worker (with
+/// `local` as its worker-side sink) telling it `trace`, assigns every cell
+/// of `spec` in order, then shuts it down. Returns the reports and the
+/// number of `TraceBatch` frames the worker sent.
+fn hand_daemon(
+    spec: &SweepSpec,
+    trace: bool,
+    local: Option<SharedSink>,
+) -> (Vec<ClusterReport>, usize) {
+    let (daemon_side, worker_side) = duplex();
+    let worker = std::thread::spawn(move || {
+        run_worker_with(Box::new(worker_side), "by-hand", local, |_| Ok(fleet()))
+    });
+    let conn = Connection::new(Box::new(daemon_side)).unwrap();
+    assert_eq!(server_handshake(&conn, &context(), trace).unwrap(), "by-hand");
+    let mut reports = Vec::new();
+    let mut batches = 0;
+    for cell in spec.expand() {
+        conn.send(&Message::AssignCell(cell.clone())).unwrap();
+        loop {
+            match conn.recv().unwrap() {
+                Message::Heartbeat => {}
+                Message::TraceBatch(_) => batches += 1,
+                Message::CellResult { index, outcome: CellOutcome::Completed(report) } => {
+                    assert_eq!(index, cell.index);
+                    reports.push(report);
+                    break;
+                }
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+    }
+    conn.send(&Message::Shutdown).unwrap();
+    worker.join().unwrap().unwrap();
+    (reports, batches)
 }
 
 #[test]
@@ -471,7 +511,11 @@ fn a_live_daemon_answers_metrics_requests_and_keeps_counters_current() {
     assert_eq!(registry.counter("workers_connected"), 1);
     assert_eq!(registry.counter("cells_completed"), spec.len() as u64);
     assert_eq!(registry.counter("workers_dead"), 0);
-    assert!(registry.counter("trace_events_ingested") > 0, "worker telemetry must be counted");
+    assert_eq!(
+        registry.counter("trace_events_ingested"),
+        0,
+        "a daemon with no sink must not be sent worker telemetry"
+    );
     assert_eq!(dist.run.outcomes.len(), spec.len());
 }
 
@@ -500,4 +544,88 @@ fn a_workerless_daemon_gives_up_after_the_configured_wait() {
         }
         other => panic!("expected DaemonError::Disconnected, got {other}"),
     }
+}
+
+#[test]
+fn an_untraced_daemon_is_sent_no_trace_frames() {
+    let spec = spec();
+    let (reports, batches) = hand_daemon(&spec, false, None);
+    assert_eq!(batches, 0, "an untraced handshake must stop all forwarding");
+    let serial: Vec<ClusterReport> =
+        serial_run(&spec).outcomes.into_iter().map(|o| o.report).collect();
+    assert_eq!(reports, serial);
+
+    // The same handshake told traced: the worker forwards.
+    let (_, batches) = hand_daemon(&spec, true, None);
+    assert!(batches > 0, "a traced handshake must forward worker telemetry");
+}
+
+/// Together with the untraced parity test at the top, this pins that a
+/// sweep's cells are identical traced and untraced.
+#[test]
+fn a_traced_daemon_counts_exactly_the_worker_events_its_sink_records() {
+    let spec = spec();
+    let (conn_tx, conn_rx) = unbounded();
+    let w1 = spawn_worker(&conn_tx, "dup-1");
+    let w2 = spawn_worker(&conn_tx, "dup-2");
+    drop(conn_tx);
+
+    let registry = Arc::new(MetricsRegistry::new());
+    let mut config = DaemonConfig::new(context());
+    config.metrics = Some(Arc::clone(&registry));
+    let memory = Arc::new(MemorySink::new());
+    let span: SharedSink =
+        Arc::new(SpanSink::new(Arc::clone(&memory) as SharedSink, 4242, "daemon"));
+    let dist = serve(&spec, &config, conn_rx, Some(span), |_, _, _| {}).unwrap();
+    w1.join().unwrap().unwrap();
+    w2.join().unwrap().unwrap();
+    assert_eq!(dist.run.outcomes, serial_run(&spec).outcomes);
+
+    // Worker events are the ones not stamped by the daemon's own SpanSink.
+    let recorded = memory
+        .spanned_events()
+        .iter()
+        .filter(|e| e.span.as_ref().is_some_and(|s| s.source != "daemon"))
+        .count();
+    assert!(recorded > 0, "a traced sweep must record worker events");
+    assert_eq!(registry.counter("trace_events_ingested"), recorded as u64);
+}
+
+#[test]
+fn a_local_sink_under_an_untraced_daemon_still_gets_every_stamped_event() {
+    let spec = spec();
+    let local = Arc::new(MemorySink::new());
+    let (_, batches) = hand_daemon(&spec, false, Some(Arc::clone(&local) as SharedSink));
+    assert_eq!(batches, 0, "the local sink must not turn forwarding back on");
+
+    let events = local.spanned_events();
+    assert!(!events.is_empty(), "the worker's own --trace sink must still be fed");
+    for (i, e) in events.iter().enumerate() {
+        let s = e.span.as_ref().expect("every local event is span-stamped");
+        assert_eq!((s.run_id, s.source.as_str()), (4242, "by-hand"));
+        assert_eq!(s.seq, i as u64, "the local sequence must be gap-free");
+    }
+    let cells: std::collections::BTreeSet<u64> =
+        events.iter().filter_map(|e| e.span.as_ref().and_then(|s| s.cell)).collect();
+    assert_eq!(cells.len(), spec.len(), "every cell's events carry its index");
+}
+
+#[test]
+fn a_worker_exits_promptly_on_shutdown_whatever_its_heartbeat_period() {
+    let fleet = fleet();
+    let (daemon_side, worker_side) = duplex();
+    let worker = std::thread::spawn(move || {
+        run_worker_with(Box::new(worker_side), "prompt", None, move |_| Ok(fleet))
+    });
+    let conn = Connection::new(Box::new(daemon_side)).unwrap();
+    let context = SweepContext { heartbeat_ms: 10_000, ..context() };
+    server_handshake(&conn, &context, false).unwrap();
+    // The first heartbeat proves the heartbeat thread is running and now
+    // waits out its 10 s period; only the exit after Shutdown is timed.
+    assert_eq!(conn.recv().unwrap(), Message::Heartbeat);
+    let started = Instant::now();
+    conn.send(&Message::Shutdown).unwrap();
+    worker.join().unwrap().unwrap();
+    let waited = started.elapsed();
+    assert!(waited < Duration::from_secs(1), "worker took {waited:?} to exit after Shutdown");
 }

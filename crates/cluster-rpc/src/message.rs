@@ -86,6 +86,10 @@ pub enum Message {
         version: u32,
         /// Everything the worker needs to build its model.
         context: SweepContext,
+        /// Whether the daemon records telemetry. When false the worker
+        /// forwards no `TraceBatch` frames, and with no local sink it runs
+        /// its cells untraced, exactly as an in-process sweep does.
+        trace: bool,
     },
     /// Daemon → worker: execute this cell.
     AssignCell(SweepCell),

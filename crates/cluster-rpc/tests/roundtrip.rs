@@ -170,6 +170,7 @@ fn message(pick: usize, idx: usize, nodes: usize, f1: f64, f2: f64, seed: u64) -
         1 => Message::HelloAck {
             version: PROTOCOL_VERSION,
             context: context(seed, f1, 1 + seed % 1000),
+            trace: seed % 2 == 1,
         },
         2 => Message::AssignCell(cell(idx, nodes, f2 / 200.0 + 0.1, seed)),
         3 => Message::CellResult {
@@ -284,8 +285,8 @@ fn handshake_round_trips_the_context() {
     let (daemon, worker) = pair();
     let ctx = context(42, 7.5, 250);
     let server_ctx = ctx.clone();
-    let server = std::thread::spawn(move || server_handshake(&daemon, &server_ctx).unwrap());
+    let server = std::thread::spawn(move || server_handshake(&daemon, &server_ctx, true).unwrap());
     let got = client_handshake(&worker, "external-1").unwrap();
     assert_eq!(server.join().unwrap(), "external-1");
-    assert_eq!(got, ctx);
+    assert_eq!(got, (ctx, true));
 }

@@ -325,7 +325,7 @@ fn distributed_dispatch_speedup_over_serial() {
         let (daemon_side, worker_side) = duplex();
         conn_tx.send(Box::new(daemon_side) as _).map_err(|_| "conns closed").unwrap();
         workers.push(std::thread::spawn(move || {
-            run_worker_with(Box::new(worker_side), "speedup", |_| Ok(fleet()))
+            run_worker_with(Box::new(worker_side), "speedup", None, |_| Ok(fleet()))
         }));
     }
     drop(conn_tx);
